@@ -9,7 +9,7 @@ degree that shrinks with separation.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 CHANNEL_MIN = 1
 CHANNEL_MAX = 11
@@ -110,7 +110,6 @@ class PclTable:
 
     def __init__(self):
         self.entries = {ch: Preference.MEDIUM for ch in ALL_CHANNELS}
-        self.beacon_interval_id = 0
 
     def mark_self_selected(self, ch: int):
         validate_channel(ch)
@@ -124,7 +123,6 @@ class PclTable:
         self.entries[ch] = Preference.LOW
 
     def rollover(self):
-        self.beacon_interval_id += 1
         for ch, pref in self.entries.items():
             if pref is Preference.HIGH:
                 self.entries[ch] = Preference.MEDIUM
@@ -133,6 +131,3 @@ class PclTable:
         """Best-ranked channel, lowest id on ties."""
         best = max(self.entries.items(), key=lambda kv: (kv[1].value, -kv[0]))
         return best[0]
-
-    def high_channels(self) -> Iterable[int]:
-        return [ch for ch, pref in self.entries.items() if pref is Preference.HIGH]

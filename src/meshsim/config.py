@@ -2,12 +2,17 @@
 comments, validated exhaustively so a typo can never silently change an
 experiment.  Every invalid line is reported with its line number; parsing
 either returns a complete config or raises with the full error list.
+
+Each key is declared once, as a field of ScenarioConfig whose metadata holds
+its parser (with the range check and the exact error text), its canonical
+text form and its one-line doc.  Parsing, serialization and the README key
+table all follow those declarations.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 VALID_RTS_MODES = ("symmetric", "literal")
@@ -39,112 +44,181 @@ class TopologySpec:
         return f"{self.kind}({self.n})"
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    topology: TopologySpec = TopologySpec(kind="chain", n=6)
-    radios_per_node: int = 2
-    channel_plan: str = "orthogonal"
-    rts_mode: str = "symmetric"
-    traffic_class: str = "qos"
-    protocol: str = "both"
-    sim_time_s: float = 100.0
-    packet_size_bytes: int = 1000
-    data_rate_bps: float = 1_000_000.0
-    alpha: float = 0.5
-    delta: float = 0.125
-    theta: float = 0.1
-    window: int = 4
-    queue_capacity: int = 50
-    flows: Tuple[Tuple[int, int], ...] = ()   # empty means automatic selection
-    seed: int = 1
-    jammer_channel: Optional[int] = None
-    jammer_x: float = 0.0
-    jammer_y: float = 0.0
-    jammer_on_s: float = 0.080
-    jammer_off_s: float = 0.010
+class _Invalid(Exception):
+    """One rejected value; parse_config prefixes its line number."""
 
 
-def _parse_topology(value: str, lineno: int, errors: List[str]) -> Optional[TopologySpec]:
-    m = _TOPOLOGY_RE.match(value.strip())
+# Value parsers: each takes the stripped text and the key name, returns the
+# parsed value or raises _Invalid with the exact user-facing message.
+
+def _integer(minimum=None, maximum=None):
+    def parse(raw: str, key: str) -> int:
+        try:
+            if re.match(r"^[+-]?\d+$", raw) is None:
+                raise ValueError
+            value = int(raw)
+        except ValueError:
+            raise _Invalid(f"{key} must be an integer, got {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise _Invalid(f"{key} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise _Invalid(f"{key} must be <= {maximum}, got {value}")
+        return value
+    return parse
+
+
+def _number(unit: str = "", reject=None, requirement: str = ""):
+    """A float; reject(value) true means the value breaks `requirement`."""
+    def parse(raw: str, key: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise _Invalid(f"{key} must be a number{unit}, got {raw!r}") from None
+        if reject is not None and reject(value):
+            raise _Invalid(f"{key} must be {requirement}")
+        return value
+    return parse
+
+
+def _one_of(choices: Tuple[str, ...]):
+    def parse(raw: str, key: str) -> str:
+        if raw not in choices:
+            raise _Invalid(f"{key} must be one of {choices}")
+        return raw
+    return parse
+
+
+def _topology(raw: str, key: str) -> TopologySpec:
+    m = _TOPOLOGY_RE.match(raw)
     if not m:
-        errors.append(f"line {lineno}: topology must be chain(n), random(n[, seed]), "
-                      f"or mesh8, got {value!r}")
-        return None
-    if value.strip() == "mesh8":
+        raise _Invalid(f"{key} must be chain(n), random(n[, seed]), "
+                       f"or mesh8, got {raw!r}")
+    if raw == "mesh8":
         return TopologySpec(kind="mesh8", n=8)
     kind, n_text, seed_text = m.group(1), m.group(2), m.group(3)
     n = int(n_text)
     if n < 2:
-        errors.append(f"line {lineno}: topology needs at least 2 nodes, got {n}")
-        return None
+        raise _Invalid(f"{key} needs at least 2 nodes, got {n}")
     if kind == "chain" and seed_text is not None:
-        errors.append(f"line {lineno}: chain(n) takes no seed argument")
-        return None
+        raise _Invalid("chain(n) takes no seed argument")
     return TopologySpec(kind=kind, n=n,
                         placement_seed=int(seed_text) if seed_text else None)
 
 
-def _parse_flows(value: str, lineno: int, errors: List[str]):
-    value = value.strip()
-    if value == "auto":
+def _channel_plan(raw: str, key: str) -> str:
+    if raw in NAMED_CHANNEL_PLANS:
+        return raw
+    if not _EXPLICIT_PLAN_RE.match(raw):
+        raise _Invalid(f"{key} must be one of "
+                       f"{'/'.join(NAMED_CHANNEL_PLANS)} or an explicit "
+                       f"semicolon-separated per-node list like 1,6;6,11")
+    for group in raw.split(";"):
+        for ch_text in group.split(","):
+            ch = int(ch_text)
+            if not 1 <= ch <= 11:
+                raise _Invalid(f"channel {ch} outside 1..11")
+    return re.sub(r"\s+", "", raw)
+
+
+def _flows(raw: str, key: str) -> Tuple[Tuple[int, int], ...]:
+    if raw == "auto":
         return ()
     flows = []
-    for part in value.split(","):
+    for part in raw.split(","):
         part = part.strip()
         m = re.match(r"^(\d+)\s*>\s*(\d+)$", part)
         if not m:
-            errors.append(f"line {lineno}: flow {part!r} must look like src>dst")
-            return None
+            raise _Invalid(f"flow {part!r} must look like src>dst")
         src, dst = int(m.group(1)), int(m.group(2))
         if src == dst:
-            errors.append(f"line {lineno}: flow source {src} equals its destination")
-            return None
+            raise _Invalid(f"flow source {src} equals its destination")
         flows.append((src, dst))
     return tuple(flows)
 
 
-def _parse_channel_plan(value: str, lineno: int, errors: List[str]) -> Optional[str]:
-    value = value.strip()
-    if value in NAMED_CHANNEL_PLANS:
-        return value
-    if not _EXPLICIT_PLAN_RE.match(value):
-        errors.append(f"line {lineno}: channel_plan must be one of "
-                      f"{'/'.join(NAMED_CHANNEL_PLANS)} or an explicit "
-                      f"semicolon-separated per-node list like 1,6;6,11")
-        return None
-    for group in value.split(";"):
-        for ch_text in group.split(","):
-            ch = int(ch_text)
-            if not 1 <= ch <= 11:
-                errors.append(f"line {lineno}: channel {ch} outside 1..11")
-                return None
-    return re.sub(r"\s+", "", value)
+def _show_flows(flows: Tuple[Tuple[int, int], ...]) -> str:
+    return "auto" if not flows else ", ".join(f"{s}>{d}" for s, d in flows)
 
 
-def _int_field(raw, lineno, key, errors, minimum=None, maximum=None):
-    try:
-        if re.match(r"^[+-]?\d+$", raw.strip()) is None:
-            raise ValueError
-        value = int(raw)
-    except ValueError:
-        errors.append(f"line {lineno}: {key} must be an integer, got {raw!r}")
-        return None
-    if minimum is not None and value < minimum:
-        errors.append(f"line {lineno}: {key} must be >= {minimum}, got {value}")
-        return None
-    if maximum is not None and value > maximum:
-        errors.append(f"line {lineno}: {key} must be <= {maximum}, got {value}")
-        return None
-    return value
+_channel_number = _integer(1, 11)
 
 
-def _float_field(raw, lineno, key, errors, unit=""):
-    try:
-        value = float(raw)
-    except ValueError:
-        errors.append(f"line {lineno}: {key} must be a number{unit}, got {raw!r}")
-        return None
-    return value
+def _channel_or_none(raw: str, key: str) -> Optional[int]:
+    return None if raw == "none" else _channel_number(raw, key)
+
+
+def _show_channel_or_none(channel: Optional[int]) -> str:
+    return "none" if channel is None else str(channel)
+
+
+def _key(default, parse, doc: str, show=str):
+    """Declare one scenario key: its default, its parser (which also range
+    checks and words the error), its canonical text form and its README line."""
+    return field(default=default, metadata={"parse": parse, "show": show, "doc": doc})
+
+
+_SECONDS = " (seconds)"
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Every scenario key with its default, in canonical order."""
+
+    topology: TopologySpec = _key(
+        TopologySpec(kind="chain", n=6), _topology,
+        "node layout: `chain(n)`, `random(n[, seed])`, or `mesh8`, the built-in "
+        "8-node mesh", show=TopologySpec.label)
+    radios_per_node: int = _key(2, _integer(1, 11), "radios fitted to every node, 1 to 11")
+    channel_plan: str = _key(
+        "orthogonal", _channel_plan,
+        "how initial channels are assigned: `orthogonal`, `overlapping`, `pcl`, "
+        "or an explicit per-node list like `1,6;6,11`")
+    rts_mode: str = _key(
+        "symmetric", _one_of(VALID_RTS_MODES),
+        "`symmetric` grants by channel separation; `literal` reproduces the exact "
+        "pseudocode equalities")
+    traffic_class: str = _key(
+        "qos", _one_of(VALID_TRAFFIC_CLASSES),
+        "`qos` (separation >= 5) or `delay_tolerant` (>= 4)")
+    protocol: str = _key(
+        "both", _one_of(VALID_PROTOCOLS),
+        "which routing phase(s) to run: `aodv_hop`, `corciar`, or `both`")
+    sim_time_s: float = _key(
+        100.0, _number(_SECONDS, lambda v: v < 0, ">= 0 seconds"),
+        "simulated duration in seconds; `0` is an inert run")
+    packet_size_bytes: int = _key(1000, _integer(1), "data payload size in bytes")
+    data_rate_bps: float = _key(
+        1_000_000.0, _number(" (bits/second)", lambda v: v <= 0, "positive"),
+        "radio bit rate in bits/second")
+    alpha: float = _key(
+        0.5, _number(reject=lambda v: not 0.0 <= v <= 1.0, requirement="in [0,1]"),
+        "queue/contention blend in the hop cost")
+    delta: float = _key(
+        0.125, _number(reject=lambda v: not 0.0 < v < 1.0, requirement="in (0,1)"),
+        "RTT estimator smoothing weight")
+    theta: float = _key(
+        0.1, _number(reject=lambda v: not 0.0 <= v <= 1.0, requirement="in [0,1]"),
+        "interference factor above which a reception corrupts")
+    window: int = _key(4, _integer(1), "transport send window in packets")
+    queue_capacity: int = _key(50, _integer(1), "per-radio FIFO depth")
+    flows: Tuple[Tuple[int, int], ...] = _key(
+        (), _flows, "`src>dst` pairs, comma separated; `auto` picks defaults",
+        show=_show_flows)
+    seed: int = _key(1, _integer(0), "RNG seed (override per run with `--seed`)")
+    jammer_channel: Optional[int] = _key(
+        None, _channel_or_none, "channel of a periodic jammer; `none` means no jammer",
+        show=_show_channel_or_none)
+    jammer_x: float = _key(0.0, _number(" (meters)"), "jammer x position in meters")
+    jammer_y: float = _key(0.0, _number(" (meters)"), "jammer y position in meters")
+    jammer_on_s: float = _key(
+        0.080, _number(_SECONDS, lambda v: v <= 0, "positive seconds"),
+        "jammer on time per period, seconds")
+    jammer_off_s: float = _key(
+        0.010, _number(_SECONDS, lambda v: v <= 0, "positive seconds"),
+        "jammer silent time per period, seconds")
+
+
+_KEYS = {f.name: f for f in fields(ScenarioConfig)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -162,147 +236,25 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key in seen:
             errors.append(f"line {lineno}: duplicate key {key} (first set on line {seen[key]})")
             continue
         seen[key] = lineno
-
-        if key == "topology":
-            spec = _parse_topology(raw, lineno, errors)
-            if spec is not None:
-                updates["topology"] = spec
-        elif key == "radios_per_node":
-            v = _int_field(raw, lineno, key, errors, minimum=1, maximum=11)
-            if v is not None:
-                updates[key] = v
-        elif key == "channel_plan":
-            v = _parse_channel_plan(raw, lineno, errors)
-            if v is not None:
-                updates[key] = v
-        elif key == "rts_mode":
-            if raw not in VALID_RTS_MODES:
-                errors.append(f"line {lineno}: rts_mode must be one of {VALID_RTS_MODES}")
-            else:
-                updates[key] = raw
-        elif key == "traffic_class":
-            if raw not in VALID_TRAFFIC_CLASSES:
-                errors.append(f"line {lineno}: traffic_class must be one of {VALID_TRAFFIC_CLASSES}")
-            else:
-                updates[key] = raw
-        elif key == "protocol":
-            if raw not in VALID_PROTOCOLS:
-                errors.append(f"line {lineno}: protocol must be one of {VALID_PROTOCOLS}")
-            else:
-                updates[key] = raw
-        elif key == "sim_time_s":
-            v = _float_field(raw, lineno, key, errors, unit=" (seconds)")
-            if v is not None:
-                if v < 0:
-                    errors.append(f"line {lineno}: sim_time_s must be >= 0 seconds")
-                else:
-                    updates[key] = v
-        elif key == "packet_size_bytes":
-            v = _int_field(raw, lineno, key, errors, minimum=1)
-            if v is not None:
-                updates[key] = v
-        elif key == "data_rate_bps":
-            v = _float_field(raw, lineno, key, errors, unit=" (bits/second)")
-            if v is not None:
-                if v <= 0:
-                    errors.append(f"line {lineno}: data_rate_bps must be positive")
-                else:
-                    updates[key] = v
-        elif key == "alpha":
-            v = _float_field(raw, lineno, key, errors)
-            if v is not None:
-                if not 0.0 <= v <= 1.0:
-                    errors.append(f"line {lineno}: alpha must be in [0,1]")
-                else:
-                    updates[key] = v
-        elif key == "delta":
-            v = _float_field(raw, lineno, key, errors)
-            if v is not None:
-                if not 0.0 < v < 1.0:
-                    errors.append(f"line {lineno}: delta must be in (0,1)")
-                else:
-                    updates[key] = v
-        elif key == "theta":
-            v = _float_field(raw, lineno, key, errors)
-            if v is not None:
-                if not 0.0 <= v <= 1.0:
-                    errors.append(f"line {lineno}: theta must be in [0,1]")
-                else:
-                    updates[key] = v
-        elif key == "window":
-            v = _int_field(raw, lineno, key, errors, minimum=1)
-            if v is not None:
-                updates[key] = v
-        elif key == "queue_capacity":
-            v = _int_field(raw, lineno, key, errors, minimum=1)
-            if v is not None:
-                updates[key] = v
-        elif key == "flows":
-            v = _parse_flows(raw, lineno, errors)
-            if v is not None:
-                updates[key] = v
-        elif key == "seed":
-            v = _int_field(raw, lineno, key, errors, minimum=0)
-            if v is not None:
-                updates[key] = v
-        elif key == "jammer_channel":
-            if raw == "none":
-                updates[key] = None
-            else:
-                v = _int_field(raw, lineno, key, errors, minimum=1, maximum=11)
-                if v is not None:
-                    updates[key] = v
-        elif key in ("jammer_x", "jammer_y"):
-            v = _float_field(raw, lineno, key, errors, unit=" (meters)")
-            if v is not None:
-                updates[key] = v
-        elif key in ("jammer_on_s", "jammer_off_s"):
-            v = _float_field(raw, lineno, key, errors, unit=" (seconds)")
-            if v is not None:
-                if v <= 0:
-                    errors.append(f"line {lineno}: {key} must be positive seconds")
-                else:
-                    updates[key] = v
-        else:
+        declared = _KEYS.get(key)
+        if declared is None:
             errors.append(f"line {lineno}: unknown key {key!r}")
+            continue
+        try:
+            updates[key] = declared.metadata["parse"](raw.strip(), key)
+        except _Invalid as exc:
+            errors.append(f"line {lineno}: {exc}")
 
     if errors:
         raise ConfigError(errors)
-    return replace(ScenarioConfig(), **updates)
+    return ScenarioConfig(**updates)
 
 
 def serialize(config: ScenarioConfig) -> str:
-    """Canonical text form; parse_config(serialize(c)) == c."""
-    flows = "auto" if not config.flows else ", ".join(f"{s}>{d}" for s, d in config.flows)
-    lines = [
-        f"topology = {config.topology.label()}",
-        f"radios_per_node = {config.radios_per_node}",
-        f"channel_plan = {config.channel_plan}",
-        f"rts_mode = {config.rts_mode}",
-        f"traffic_class = {config.traffic_class}",
-        f"protocol = {config.protocol}",
-        f"sim_time_s = {config.sim_time_s!r}",
-        f"packet_size_bytes = {config.packet_size_bytes}",
-        f"data_rate_bps = {config.data_rate_bps!r}",
-        f"alpha = {config.alpha!r}",
-        f"delta = {config.delta!r}",
-        f"theta = {config.theta!r}",
-        f"window = {config.window}",
-        f"queue_capacity = {config.queue_capacity}",
-        f"flows = {flows}",
-        f"seed = {config.seed}",
-    ]
-    if config.jammer_channel is not None:
-        lines += [
-            f"jammer_channel = {config.jammer_channel}",
-            f"jammer_x = {config.jammer_x!r}",
-            f"jammer_y = {config.jammer_y!r}",
-            f"jammer_on_s = {config.jammer_on_s!r}",
-            f"jammer_off_s = {config.jammer_off_s!r}",
-        ]
-    return "\n".join(lines) + "\n"
+    """Canonical text form, one line per key; parse_config(serialize(c)) == c."""
+    return "".join(f"{f.name} = {f.metadata['show'](getattr(config, f.name))}\n"
+                   for f in fields(config))

@@ -21,10 +21,9 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import mac as mac_mod
 from .channel import DEFAULT_PROFILE, PclTable
 from .config import ScenarioConfig
 from .mac import (
@@ -48,7 +47,6 @@ from .mac import (
 from .metrics import FlowStats, RunSummary, summarize
 from .routing import (
     HELLO_INTERVAL,
-    HELLO_TIMEOUT,
     ROUTE_LIFETIME,
     DISCOVERY_ATTEMPTS,
     DISCOVERY_TIMEOUT,
@@ -123,24 +121,20 @@ class Transmission:
 
 
 class Exchange:
-    __slots__ = ("token", "state", "peer_radio")
+    __slots__ = ("token", "state")
 
-    def __init__(self, token: int, state: str, peer_radio=None):
+    def __init__(self, token: int, state: str):
         self.token = token
         self.state = state          # "wait_cts" | "wait_ack"
-        self.peer_radio = peer_radio
 
 
-class RadioState:
-    __slots__ = ("node_id", "index", "channel", "mac", "exchange",
-                 "rx_engaged_until", "access_pending", "head_attempts",
-                 "delivered_uid_from")
+class RadioState(MacRadioState):
+    """One radio: the MAC's channel, queue and backoff, plus the engine's
+    handshake and reception state."""
 
-    def __init__(self, node_id: int, index: int, channel: int, capacity: int):
+    def __init__(self, node_id: int, channel: int, capacity: int):
+        super().__init__(channel=channel, capacity=capacity)
         self.node_id = node_id
-        self.index = index
-        self.channel = channel
-        self.mac = MacRadioState(channel=channel, capacity=capacity)
         self.exchange: Optional[Exchange] = None
         self.rx_engaged_until = 0.0
         self.access_pending = False
@@ -157,8 +151,7 @@ class NodeState:
 
     def __init__(self, node_id: int, channels, capacity: int, use_pcl: bool):
         self.node_id = node_id
-        self.radios = [RadioState(node_id, i, ch, capacity)
-                       for i, ch in enumerate(channels)]
+        self.radios = [RadioState(node_id, ch, capacity) for ch in channels]
         self.records: Dict[int, NeighborRecord] = {}
         self.route_table = RouteTable()
         self.cum_rtt_advert = math.inf
@@ -181,7 +174,7 @@ class FlowRuntime:
     __slots__ = ("flow_id", "src", "dst", "window", "next_seq", "unacked",
                  "stats", "estimator", "rto", "blocked", "delivered_seqs",
                  "copies_injected", "copies_delivered", "copies_dropped_queue",
-                 "copies_mac_discarded", "initial_hops", "final_hops")
+                 "copies_mac_discarded", "final_hops")
 
     def __init__(self, flow_id: int, src: int, dst: int, window: int, delta: float):
         self.flow_id = flow_id
@@ -199,7 +192,6 @@ class FlowRuntime:
         self.copies_delivered = 0
         self.copies_dropped_queue = 0
         self.copies_mac_discarded = 0
-        self.initial_hops: Optional[int] = None
         self.final_hops: Optional[int] = None
 
 
@@ -254,7 +246,6 @@ class Sim:
             n.node_id: NodeState(n.node_id, n.channels, config.queue_capacity, use_pcl)
             for n in self.topo.nodes
         }
-        self.positions = {n.node_id: (n.x, n.y) for n in self.topo.nodes}
         self.active_tx: List[Transmission] = []
 
         self.jammer = None
@@ -319,8 +310,8 @@ class Sim:
         return tx
 
     def _jam_dist(self, node_id: int) -> float:
-        x, y = self.positions[node_id]
-        return math.hypot(x - self.jammer.x, y - self.jammer.y)
+        node = self.topo.by_id[node_id]
+        return math.hypot(node.x - self.jammer.x, node.y - self.jammer.y)
 
     def carrier_busy(self, node_id: int, channel: int) -> Tuple[bool, float]:
         busy = False
@@ -353,13 +344,10 @@ class Sim:
             return True
         return False
 
-    def _note_corruption(self):
-        self.corrupted_receptions += 1
-
     # -- MAC access machinery ----------------------------------------------
 
     def kick(self, radio: RadioState, delay: float = 0.0):
-        if radio.exchange is not None or radio.access_pending or not radio.mac.queue:
+        if radio.exchange is not None or radio.access_pending or not radio.queue:
             return
         radio.access_pending = True
         self.schedule(self.now + delay, "TimerFire", radio.node_id,
@@ -382,18 +370,18 @@ class Sim:
             return False
         frame.src = node_id
         frame.channel = channel
-        result = radio.mac.enqueue(frame, self.now)
+        result = radio.enqueue(frame, self.now)
         if result is EnqueueResult.DROPPED_QUEUE_FULL:
             return False
         self.kick(radio)
         return True
 
     def _backoff_wait(self, radio: RadioState) -> float:
-        return DIFS + self.rng.randint(0, radio.mac.backoff.cw) * SLOT_TIME
+        return DIFS + self.rng.randint(0, radio.backoff.cw) * SLOT_TIME
 
     def _try_access(self, radio: RadioState):
         radio.access_pending = False
-        if radio.exchange is not None or not radio.mac.queue:
+        if radio.exchange is not None or not radio.queue:
             return
         if self.now < radio.rx_engaged_until:
             radio.access_pending = True
@@ -406,7 +394,7 @@ class Sim:
             self.schedule(max(free_at, self.now) + self._backoff_wait(radio),
                           "TimerFire", radio.node_id, self._try_access, radio)
             return
-        entry = radio.mac.head()
+        entry = radio.head()
         frame = entry.frame
         peer = self._radio_on_channel(frame.dst, radio.channel)
         self._token += 1
@@ -424,7 +412,7 @@ class Sim:
     def _rts_arrival(self, rx_radio: RadioState, tx_radio: RadioState,
                      tx: Transmission, frame: Frame):
         if self.corrupted(rx_radio.node_id, rx_radio.channel, tx):
-            self._note_corruption()
+            self.corrupted_receptions += 1
             return
         if rx_radio.exchange is not None or self.now < rx_radio.rx_engaged_until:
             return
@@ -447,14 +435,14 @@ class Sim:
     def _cts_arrival(self, tx_radio: RadioState, rx_radio: RadioState,
                      cts: Transmission, frame: Frame):
         if self.corrupted(tx_radio.node_id, tx_radio.channel, cts):
-            self._note_corruption()
+            self.corrupted_receptions += 1
             return
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_cts":
             return
         # contention is resolved the instant the CTS lands; the data frame
         # itself leaves one guard interval later
-        tx_radio.mac.release_head_to_medium(self.now)
+        tx_radio.release_head_to_medium(self.now)
         start = self.now + SIFS
         data_air = self._air(frame.size_bytes)
         tx = self._register_tx(tx_radio.node_id, tx_radio.channel, start, start + data_air)
@@ -468,7 +456,7 @@ class Sim:
     def _data_arrival(self, rx_radio: RadioState, tx_radio: RadioState,
                       tx: Transmission, frame: Frame):
         if self.corrupted(rx_radio.node_id, rx_radio.channel, tx):
-            self._note_corruption()
+            self.corrupted_receptions += 1
             return
         ack = self._register_tx(rx_radio.node_id, rx_radio.channel,
                                 self.now + SIFS, self.now + SIFS + self._air(MAC_ACK_BYTES))
@@ -482,13 +470,13 @@ class Sim:
     def _mac_ack_arrival(self, tx_radio: RadioState, rx_radio: RadioState,
                          ack: Transmission):
         if self.corrupted(tx_radio.node_id, tx_radio.channel, ack):
-            self._note_corruption()
+            self.corrupted_receptions += 1
             return
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_ack":
             return
-        entry = tx_radio.mac.pop_head(self.now)
-        tx_radio.mac.backoff.next(BackoffOutcome.SUCCESS, self.rng)
+        entry = tx_radio.pop_head(self.now)
+        tx_radio.backoff.next(BackoffOutcome.SUCCESS, self.rng)
         if entry.frame.kind is FrameKind.DATA:
             self.counters["weighted_hop_cost_sum_ms"] += \
                 weighted_hop_cost(entry.ts, self.config.alpha) * 1000.0
@@ -516,11 +504,10 @@ class Sim:
         if ex is None or ex.token != token or ex.state != phase:
             return
         radio.exchange = None
-        slots = radio.mac.backoff.next(BackoffOutcome.BUSY, self.rng)
-        if radio.mac.backoff.retries > RETRY_LIMIT:
-            entry = radio.mac.pop_head(self.now)
-            radio.mac.backoff.cw = radio.mac.backoff.cw_min
-            radio.mac.backoff.retries = 0
+        slots = radio.backoff.next(BackoffOutcome.BUSY, self.rng)
+        if radio.backoff.retries > RETRY_LIMIT:
+            entry = radio.pop_head(self.now)
+            radio.backoff.reset()
             radio.head_attempts = 0
             self.counters["mac_discards"] += 1
             flow = self.flows.get(entry.frame.flow_id)
@@ -732,8 +719,6 @@ class Sim:
             flow = self.flows[fid]
             if flow.src == src and flow.dst == dst:
                 matched = True
-                if flow.initial_hops is None:
-                    flow.initial_hops = total
                 flow.final_hops = total
                 if flow.blocked:
                     flow.blocked = False
@@ -807,10 +792,9 @@ class Sim:
         # connectivity never fully disappears
         spare = node.radios[-1]
         if len(node.radios) > 1 and spare.channel != choice \
-                and spare.exchange is None and not spare.mac.queue \
+                and spare.exchange is None and not spare.queue \
                 and spare.rx_engaged_until <= self.now:
             spare.channel = choice
-            spare.mac.channel = choice
             self.counters["pcl_retunes"] = self.counters.get("pcl_retunes", 0) + 1
         self.schedule(self.now + BEACON_INTERVAL_S, "BeaconTick", node_id,
                       self._beacon_tick, node_id)
@@ -856,7 +840,7 @@ class Sim:
         residual = {fid: 0 for fid in self.flows}
         for node_id in sorted(self.nodes):
             for radio in self.nodes[node_id].radios:
-                for entry in radio.mac.queue:
+                for entry in radio.queue:
                     if entry.frame.kind is not FrameKind.DATA \
                             or entry.frame.flow_id not in residual:
                         continue

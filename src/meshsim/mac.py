@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .channel import separation, validate_channel
@@ -165,15 +165,19 @@ class BackoffOutcome(enum.Enum):
 class BackoffState:
     cw: int = CW_MIN
     retries: int = 0
-    slot_time: float = SLOT_TIME
     cw_min: int = CW_MIN
     cw_max: int = CW_MAX
+
+    def reset(self):
+        """Back to the minimum window with no retries: after a success, or
+        after the head frame is discarded at the retry limit."""
+        self.cw = self.cw_min
+        self.retries = 0
 
     def next(self, outcome: BackoffOutcome, rng) -> int:
         """Advance state for one access outcome; returns the slots to wait."""
         if outcome is BackoffOutcome.SUCCESS:
-            self.cw = self.cw_min
-            self.retries = 0
+            self.reset()
             return 0
         wait = rng.randint(0, self.cw)
         self.cw = min(2 * self.cw + 1, self.cw_max)

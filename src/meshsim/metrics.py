@@ -5,13 +5,12 @@ re-routed run.
 The restitution ratio divides the baseline throughput by the re-routed
 throughput, so values fall in [0, 1] when re-routing wins; 1 means the
 reroute changed nothing (perfectly elastic), 0 means the baseline moved no
-traffic at all.
+traffic at all, and above 1 means re-routing lost throughput (a regression).
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from statistics import fmean
 from typing import List, Optional, Sequence
@@ -48,6 +47,7 @@ class CollisionClass(enum.Enum):
     PERFECTLY_ELASTIC = "PerfectlyElastic"
     PARTIALLY_ELASTIC = "PartiallyElastic"
     INELASTIC = "Inelastic"
+    REGRESSION = "Regression"       # cor > 1: rerouting lost throughput
 
 
 @dataclass
@@ -88,9 +88,7 @@ def classify_collision(cor_value: float) -> CollisionClass:
     if cor_value < 0:
         raise ValueError("cor must be nonnegative")
     if cor_value > 1.0:
-        warnings.warn(f"restitution ratio {cor_value:.6f} exceeds 1; clamped for "
-                      "classification", stacklevel=2)
-        cor_value = 1.0
+        return CollisionClass.REGRESSION
     if cor_value == 1.0:
         return CollisionClass.PERFECTLY_ELASTIC
     if cor_value == 0.0:

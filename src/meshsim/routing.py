@@ -75,11 +75,6 @@ class RttEstimator:
         return self.average_rtt
 
 
-def update_average_rtt(est: RttEstimator, sample: float) -> RttEstimator:
-    est.update(sample)
-    return est
-
-
 @dataclass
 class NeighborRecord:
     neighbor: int
@@ -102,11 +97,6 @@ def process_hello(records: Dict[int, NeighborRecord], sender: int,
         rec.last_hello_at = now
         rec.advertised_cum_rtt = advertised_cum_rtt
     return rec
-
-
-def active_neighbors(records: Dict[int, NeighborRecord], now: float,
-                     timeout: float = HELLO_TIMEOUT) -> List[NeighborRecord]:
-    return [records[k] for k in sorted(records) if records[k].is_active(now, timeout)]
 
 
 def cumulative_rtt(node: int, neighbors: Iterable[NeighborRecord], gateway: int,
@@ -138,10 +128,6 @@ class PotentialField:
     def __post_init__(self):
         if self.value_by_node.get(self.gateway) != 0.0:
             raise ValueError("gateway potential must be 0")
-
-
-def force(fld: PotentialField, v: int, w: int) -> float:
-    return fld.value_by_node[v] - fld.value_by_node[w]
 
 
 def next_hop_select(fld: PotentialField, v: int, candidates: Iterable[int]) -> int:
@@ -229,10 +215,6 @@ def aodv_discover(adjacency: Dict[int, Iterable[int]], src: int, dst: int,
     return path
 
 
-def path_cost(path: List[int], link_cost) -> float:
-    return sum(link_cost(u, v) for u, v in zip(path, path[1:]))
-
-
 @dataclass
 class RouteEntry:
     destination: int
@@ -271,12 +253,6 @@ class RouteTable:
         entry = self._entries.get(destination)
         if entry is not None and now < entry.expires_at:
             entry.expires_at = now + lifetime
-
-    def invalidate_via(self, neighbor: int) -> List[int]:
-        gone = [dst for dst, e in self._entries.items() if e.next_hop == neighbor]
-        for dst in gone:
-            del self._entries[dst]
-        return sorted(gone)
 
     def rows(self) -> List[RouteEntry]:
         return [self._entries[d] for d in sorted(self._entries)]

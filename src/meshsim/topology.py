@@ -78,12 +78,6 @@ class Topology:
     def shared_channels(self, u: int, v: int) -> List[int]:
         return sorted(set(self.by_id[u].channels) & set(self.by_id[v].channels))
 
-    def link_channel(self, u: int, v: int) -> int:
-        shared = self.shared_channels(u, v)
-        if not shared:
-            raise BuildError(f"nodes {u} and {v} share no channel")
-        return shared[0]
-
     def node_ids(self) -> List[int]:
         return [n.node_id for n in self.nodes]
 

@@ -7,10 +7,7 @@ near-instant.  Run with ``--full`` to add the 80- and 100-node sweep points
 to gate on).
 """
 
-import dataclasses
-import math
 import random
-import statistics
 import time
 
 import pytest
@@ -20,7 +17,7 @@ from meshsim.channel import (DEFAULT_PROFILE, SeparationClass, classify,
                              interference_factor)
 from meshsim.config import parse_config
 from meshsim.engine import Sim
-from meshsim.experiment import config_for_axis, corciar_run
+from meshsim.experiment import corciar_run, median_cells, sweep
 from meshsim.mac import (QueueTimestamps, RtsDecision, handle_rts_qos,
                          handle_rts_delay_tolerant, hop_delay,
                          weighted_hop_cost)
@@ -187,19 +184,17 @@ def test_jammed_mesh_rerouting():
 
 
 def _median_trends(base_text, axis, values, seeds):
-    base = parse_config(base_text)
+    """Per axis value and protocol: (median mean RTT, median throughput),
+    from the product sweep."""
+    rows, failures = sweep(parse_config(base_text), axis, values, seeds)
+    assert not failures, failures
     out = {}
     for v in values:
-        cells = {"aodv_hop": ([], []), "corciar": ([], [])}
-        for seed in seeds:
-            cfg = config_for_axis(base, axis, v, seed)
-            baseline, rerouted, _ = corciar_run(cfg)
-            cells["aodv_hop"][0].append(baseline.summary.mean_rtt_ms)
-            cells["aodv_hop"][1].append(baseline.summary.throughput_kbps)
-            cells["corciar"][0].append(rerouted.summary.mean_rtt_ms)
-            cells["corciar"][1].append(rerouted.summary.throughput_kbps)
-        out[v] = {proto: (statistics.median(rtts), statistics.median(tputs))
-                  for proto, (rtts, tputs) in cells.items()}
+        out[v] = {}
+        for proto in ("aodv_hop", "corciar"):
+            med = median_cells([row for value, row in rows
+                                if value == v and row.protocol == proto])
+            out[v][proto] = (med["mean_rtt_ms"], med["throughput_kbps"])
     return out
 
 

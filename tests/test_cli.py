@@ -33,8 +33,8 @@ def test_run_emits_both_protocol_rows(tmp_path, capsys):
     second = out[2].split(",")
     assert first[0] == "chain(3)" and first[1] == "5" and first[2] == "aodv_hop"
     assert second[2] == "corciar"
-    assert first[10] == "" and second[10] in ("PerfectlyElastic",
-                                              "PartiallyElastic", "Inelastic")
+    assert first[10] == "" and second[10] in ("PerfectlyElastic", "PartiallyElastic",
+                                              "Inelastic", "Regression")
     float(first[5])    # throughput parses
     assert second[9] != ""
 

@@ -1,5 +1,8 @@
 """Config grammar: defaults, validation messages, round-trip."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from meshsim.config import ConfigError, ScenarioConfig, TopologySpec, parse_config, serialize
@@ -108,7 +111,81 @@ def test_serialize_round_trip():
         "topology = mesh8\njammer_channel = 1\njammer_x = 100\njammer_y = -80\n",
         "alpha = 0.25\ndelta = 0.5\ntheta = 0.3\nsim_time_s = 12.5\n"
         "rts_mode = literal\ntraffic_class = delay_tolerant\nchannel_plan = 1,6;6,11\n",
+        "jammer_x = 12.5\njammer_off_s = 0.5\n",   # jammer placed but switched off
     ]
     for text in texts:
         cfg = parse_config(text)
         assert parse_config(serialize(cfg)) == cfg
+
+
+# One invalid value per key (more where a key has several checks), plus the
+# line-level errors: each message is pinned byte for byte, because the
+# command line prints them verbatim after `config error:`.
+ERROR_MESSAGES = [
+    ("topology = ring(5)", "line 1: topology must be chain(n), random(n[, seed]), "
+                           "or mesh8, got 'ring(5)'"),
+    ("topology = chain(1)", "line 1: topology needs at least 2 nodes, got 1"),
+    ("topology = chain(6, 3)", "line 1: chain(n) takes no seed argument"),
+    ("radios_per_node = 0", "line 1: radios_per_node must be >= 1, got 0"),
+    ("radios_per_node = 12", "line 1: radios_per_node must be <= 11, got 12"),
+    ("radios_per_node = two", "line 1: radios_per_node must be an integer, got 'two'"),
+    ("channel_plan = nonsense", "line 1: channel_plan must be one of "
+                                "orthogonal/overlapping/pcl or an explicit "
+                                "semicolon-separated per-node list like 1,6;6,11"),
+    ("channel_plan = 1,12", "line 1: channel 12 outside 1..11"),
+    ("rts_mode = strict", "line 1: rts_mode must be one of ('symmetric', 'literal')"),
+    ("traffic_class = bulk", "line 1: traffic_class must be one of "
+                             "('qos', 'delay_tolerant')"),
+    ("protocol = olsr", "line 1: protocol must be one of "
+                        "('aodv_hop', 'corciar', 'both')"),
+    ("sim_time_s = -1", "line 1: sim_time_s must be >= 0 seconds"),
+    ("sim_time_s = soon", "line 1: sim_time_s must be a number (seconds), got 'soon'"),
+    ("packet_size_bytes = 1.5", "line 1: packet_size_bytes must be an integer, got '1.5'"),
+    ("packet_size_bytes = 0", "line 1: packet_size_bytes must be >= 1, got 0"),
+    ("data_rate_bps = 0", "line 1: data_rate_bps must be positive"),
+    ("data_rate_bps = fast", "line 1: data_rate_bps must be a number (bits/second), "
+                             "got 'fast'"),
+    ("alpha = 1.5", "line 1: alpha must be in [0,1]"),
+    ("alpha = half", "line 1: alpha must be a number, got 'half'"),
+    ("delta = 1", "line 1: delta must be in (0,1)"),
+    ("theta = -1", "line 1: theta must be in [0,1]"),
+    ("window = 0", "line 1: window must be >= 1, got 0"),
+    ("queue_capacity = 0", "line 1: queue_capacity must be >= 1, got 0"),
+    ("flows = 3>3", "line 1: flow source 3 equals its destination"),
+    ("flows = 0>5; 2>5", "line 1: flow '0>5; 2>5' must look like src>dst"),
+    ("seed = -3", "line 1: seed must be >= 0, got -3"),
+    ("jammer_channel = 12", "line 1: jammer_channel must be <= 11, got 12"),
+    ("jammer_channel = off", "line 1: jammer_channel must be an integer, got 'off'"),
+    ("jammer_x = left", "line 1: jammer_x must be a number (meters), got 'left'"),
+    ("jammer_y = up", "line 1: jammer_y must be a number (meters), got 'up'"),
+    ("jammer_on_s = 0", "line 1: jammer_on_s must be positive seconds"),
+    ("jammer_off_s = -1", "line 1: jammer_off_s must be positive seconds"),
+    ("jammer_off_s = x", "line 1: jammer_off_s must be a number (seconds), got 'x'"),
+    ("seed = 1\nseed = 2", "line 2: duplicate key seed (first set on line 1)"),
+    ("windwo = 2", "line 1: unknown key 'windwo'"),
+    ("topology chain(3)  # no equals sign",
+     "line 1: expected key = value, got 'topology chain(3)  # no equals sign'"),
+]
+
+
+@pytest.mark.parametrize("text,message", ERROR_MESSAGES,
+                         ids=[text.split("\n")[-1] for text, _ in ERROR_MESSAGES])
+def test_error_message_text(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [message]
+
+
+def test_error_messages_cover_every_key():
+    keys = {text.split("=")[0].strip() for text, _ in ERROR_MESSAGES}
+    assert {f.name for f in fields(ScenarioConfig)} <= keys
+
+
+def test_readme_key_table_matches_declarations():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| key | default | meaning |\n| --- | --- | --- |\n"
+    start = readme.index(header) + len(header)
+    table = readme[start:readme.index("\n\n", start)].splitlines()
+    want = [f"| `{f.name}` | `{f.metadata['show'](f.default)}` | {f.metadata['doc']} |"
+            for f in fields(ScenarioConfig)]
+    assert table == want

