@@ -9,7 +9,6 @@ degree that shrinks with separation.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
 CHANNEL_MIN = 1
 CHANNEL_MAX = 11
@@ -50,47 +49,17 @@ def classify(c1: int, c2: int) -> SeparationClass:
     return SeparationClass.ORTHOGONAL
 
 
-class InterferenceProfile:
-    """Maps channel separation to a fractional interference factor in [0, 1].
-
-    A profile is a table indexed by separation.  Any profile must be 1.0 at
-    separation 0, nonincreasing, and exactly 0.0 from separation 5 onward;
-    the constructor rejects tables that break those rules.
-    """
-
-    def __init__(self, by_separation: Sequence[float]):
-        table = [float(x) for x in by_separation]
-        if len(table) < ORTHOGONAL_SEPARATION + 1:
-            raise ValueError("profile table must cover separations 0..5")
-        if table[0] != 1.0:
-            raise ValueError("co-channel factor must be 1.0")
-        for a, b in zip(table, table[1:]):
-            if b > a:
-                raise ValueError("interference factor must be nonincreasing in separation")
-        if any(x != 0.0 for x in table[ORTHOGONAL_SEPARATION:]):
-            raise ValueError("factor must be 0 at separation >= 5")
-        if any(not 0.0 <= x <= 1.0 for x in table):
-            raise ValueError("factors must lie in [0, 1]")
-        self._table = table
-
-    def factor_for_separation(self, sep: int) -> float:
-        if sep >= len(self._table):
-            return 0.0
-        return self._table[sep]
-
-    def factor(self, c1: int, c2: int) -> float:
-        return self.factor_for_separation(separation(c1, c2))
+# Fractional interference factor by channel separation, for every separation
+# the band has.  Linear roll-off: 1, 0.8, 0.6, 0.4, 0.2, then 0 -- the
+# simplest table that is 1.0 co-channel, nonincreasing and 0.0 for orthogonal
+# pairs, consistent with the separation classes.
+INTERFERENCE_BY_SEPARATION = tuple(
+    max(0.0, 1.0 - sep / ORTHOGONAL_SEPARATION)
+    for sep in range(CHANNEL_MAX - CHANNEL_MIN + 1))
 
 
-# Linear roll-off: 1, 0.8, 0.6, 0.4, 0.2, 0 -- the simplest profile consistent
-# with the separation classes.
-DEFAULT_PROFILE = InterferenceProfile(
-    [max(0.0, 1.0 - sep / ORTHOGONAL_SEPARATION) for sep in range(ORTHOGONAL_SEPARATION + 1)]
-)
-
-
-def interference_factor(c1: int, c2: int, profile: InterferenceProfile = DEFAULT_PROFILE) -> float:
-    return profile.factor(c1, c2)
+def interference_factor(c1: int, c2: int) -> float:
+    return INTERFERENCE_BY_SEPARATION[separation(c1, c2)]
 
 
 class Preference(enum.Enum):

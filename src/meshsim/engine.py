@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .channel import DEFAULT_PROFILE, PclTable
+from .channel import CHANNEL_MAX, INTERFERENCE_BY_SEPARATION, PclTable
 from .config import ScenarioConfig
 from .mac import (
     BackoffOutcome,
@@ -58,6 +58,7 @@ from .routing import (
     RttEstimator,
     aodv_discover,
     cumulative_rtt,
+    neighbor_record,
     process_hello,
     rtt_sample,
 )
@@ -121,10 +122,12 @@ class Transmission:
 
 
 class Exchange:
-    __slots__ = ("token", "state")
+    """One RTS/CTS/DATA/ACK handshake in progress; the object itself is the
+    identity a timeout checks against."""
 
-    def __init__(self, token: int, state: str):
-        self.token = token
+    __slots__ = ("state",)
+
+    def __init__(self, state: str):
         self.state = state          # "wait_cts" | "wait_ack"
 
 
@@ -138,7 +141,6 @@ class RadioState(MacRadioState):
         self.exchange: Optional[Exchange] = None
         self.rx_engaged_until = 0.0
         self.access_pending = False
-        self.head_attempts = 0
         # last frame uid handed up, per sending node: a sender retries one
         # head frame until it pops it, so one slot per sender suffices to
         # drop the duplicates that lost acknowledgements produce
@@ -173,8 +175,8 @@ class UnackedPacket:
 class FlowRuntime:
     __slots__ = ("flow_id", "src", "dst", "window", "next_seq", "unacked",
                  "stats", "estimator", "rto", "blocked", "delivered_seqs",
-                 "copies_injected", "copies_delivered", "copies_dropped_queue",
-                 "copies_mac_discarded", "final_hops")
+                 "copies_injected", "copies_delivered", "copies_mac_discarded",
+                 "final_hops")
 
     def __init__(self, flow_id: int, src: int, dst: int, window: int, delta: float):
         self.flow_id = flow_id
@@ -190,7 +192,6 @@ class FlowRuntime:
         self.delivered_seqs = set()
         self.copies_injected = 0
         self.copies_delivered = 0
-        self.copies_dropped_queue = 0
         self.copies_mac_discarded = 0
         self.final_hops: Optional[int] = None
 
@@ -232,11 +233,16 @@ class Sim:
         self.counters: Dict[str, float] = {
             "route_misses": 0, "hello_queue_drops": 0, "mac_discards": 0,
             "weighted_hop_cost_sum_ms": 0.0, "weighted_hop_cost_n": 0,
+            "pcl_retunes": 0,
         }
 
-        self.factor = [[DEFAULT_PROFILE.factor_for_separation(abs(a - b))
-                        for b in range(12)] for a in range(12)]
-        self.theta = config.theta
+        # conflict[a][b]: a transmission on channel a disturbs a radio on
+        # channel b (symmetric); channels index it directly, so row and
+        # column 0 are unused padding
+        hits = [f > config.theta for f in INTERFERENCE_BY_SEPARATION]
+        self.conflict = [[a > 0 and b > 0 and hits[abs(a - b)]
+                          for b in range(CHANNEL_MAX + 1)]
+                         for a in range(CHANNEL_MAX + 1)]
         self.rate = config.data_rate_bps
         self.rts_decide = rts_handler(config.traffic_class)
         self.rts_mode = config.rts_mode
@@ -262,18 +268,12 @@ class Sim:
         self._flow_paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._reeval_at: Dict[Tuple[int, int], float] = {}
         self._route_seq = 0
-        self._token = 0
 
         if seed_link_costs:
             for (u, v), cost_ms in seed_link_costs.items():
-                node = self.nodes.get(u)
-                if node is None or v not in self.topo.comm_adjacency.get(u, ()):
+                if u not in self.nodes or v not in self.topo.comm_adjacency.get(u, ()):
                     continue
-                rec = node.records.get(v)
-                if rec is None:
-                    rec = NeighborRecord(neighbor=v, last_hello_at=-1e9)
-                    node.records[v] = rec
-                rec.link_estimator.update(cost_ms)
+                neighbor_record(self.nodes[u].records, v).link_estimator.update(cost_ms)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -282,9 +282,6 @@ class Sim:
             raise SimulationFault(f"scheduling into the past: {t} < {self.now}")
         heapq.heappush(self._heap, (t, self._ordinal, label, node, fn, args))
         self._ordinal += 1
-
-    def _dist(self, u: int, v: int) -> float:
-        return self.topo.distance(u, v)
 
     def _air(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.rate
@@ -316,42 +313,61 @@ class Sim:
     def carrier_busy(self, node_id: int, channel: int) -> Tuple[bool, float]:
         busy = False
         free_at = self.now
+        conflicts = self.conflict[channel]
         for tx in self.active_tx:
-            if tx.t_start <= self.now < tx.t_end \
-                    and self.factor[tx.channel][channel] > self.theta \
-                    and self._dist(tx.sender, node_id) <= INTERFERENCE_RANGE_M:
+            if tx.t_start <= self.now < tx.t_end and conflicts[tx.channel] \
+                    and self.topo.distance(tx.sender, node_id) <= INTERFERENCE_RANGE_M:
                 busy = True
                 free_at = max(free_at, tx.t_end)
         if self.jammer is not None and self.jammer.active(self.now) \
-                and self.factor[self.jammer.channel][channel] > self.theta \
+                and conflicts[self.jammer.channel] \
                 and self._jam_dist(node_id) <= INTERFERENCE_RANGE_M:
             busy = True
             free_at = max(free_at, self.jammer.busy_end(self.now))
         return busy, free_at
 
     def corrupted(self, node_id: int, channel: int, subject: Transmission) -> bool:
+        conflicts = self.conflict[channel]
         for tx in self.active_tx:
             if tx is subject:
                 continue
             if tx.t_start < subject.t_end and tx.t_end > subject.t_start \
-                    and self.factor[tx.channel][channel] > self.theta \
-                    and self._dist(tx.sender, node_id) <= INTERFERENCE_RANGE_M:
+                    and conflicts[tx.channel] \
+                    and self.topo.distance(tx.sender, node_id) <= INTERFERENCE_RANGE_M:
                 return True
-        if self.jammer is not None \
-                and self.factor[self.jammer.channel][channel] > self.theta \
+        if self.jammer is not None and conflicts[self.jammer.channel] \
                 and self._jam_dist(node_id) <= INTERFERENCE_RANGE_M \
                 and self.jammer.overlaps(subject.t_start, subject.t_end):
             return True
         return False
 
+    def _transmit(self, sender: RadioState, receiver: Optional[RadioState],
+                  start: float, size_bytes: int, on_arrival, *args) -> float:
+        """Put one frame on the air from start; unless receiver is None, it
+        reaches on_arrival(receiver, *args) there if it arrives clean.
+        Returns the end of its airtime."""
+        tx = self._register_tx(sender.node_id, sender.channel, start,
+                               start + self._air(size_bytes))
+        if receiver is not None:
+            self.schedule(tx.t_end, "FrameArrival", receiver.node_id,
+                          self._receive, receiver, tx, on_arrival, args)
+        return tx.t_end
+
+    def _receive(self, radio: RadioState, tx: Transmission, on_arrival, args):
+        if self.corrupted(radio.node_id, radio.channel, tx):
+            self.corrupted_receptions += 1
+            return
+        on_arrival(radio, *args)
+
     # -- MAC access machinery ----------------------------------------------
 
-    def kick(self, radio: RadioState, delay: float = 0.0):
+    def kick(self, radio: RadioState, at: float):
+        """Schedule one access attempt at `at`, unless the radio is busy in
+        a handshake, already has one pending, or has nothing to send."""
         if radio.exchange is not None or radio.access_pending or not radio.queue:
             return
         radio.access_pending = True
-        self.schedule(self.now + delay, "TimerFire", radio.node_id,
-                      self._try_access, radio)
+        self.schedule(at, "TimerFire", radio.node_id, self._try_access, radio)
 
     def _link_channel(self, u: int, v: int) -> Optional[int]:
         """Lowest channel both nodes currently have a radio on, or None."""
@@ -369,11 +385,10 @@ class Sim:
         if radio is None:
             return False
         frame.src = node_id
-        frame.channel = channel
         result = radio.enqueue(frame, self.now)
         if result is EnqueueResult.DROPPED_QUEUE_FULL:
             return False
-        self.kick(radio)
+        self.kick(radio, self.now)
         return True
 
     def _backoff_wait(self, radio: RadioState) -> float:
@@ -384,36 +399,22 @@ class Sim:
         if radio.exchange is not None or not radio.queue:
             return
         if self.now < radio.rx_engaged_until:
-            radio.access_pending = True
-            self.schedule(radio.rx_engaged_until + self._backoff_wait(radio),
-                          "TimerFire", radio.node_id, self._try_access, radio)
+            self.kick(radio, radio.rx_engaged_until + self._backoff_wait(radio))
             return
         busy, free_at = self.carrier_busy(radio.node_id, radio.channel)
         if busy:
-            radio.access_pending = True
-            self.schedule(max(free_at, self.now) + self._backoff_wait(radio),
-                          "TimerFire", radio.node_id, self._try_access, radio)
+            self.kick(radio, max(free_at, self.now) + self._backoff_wait(radio))
             return
-        entry = radio.head()
-        frame = entry.frame
+        frame = radio.head().frame
         peer = self._radio_on_channel(frame.dst, radio.channel)
-        self._token += 1
-        radio.exchange = Exchange(self._token, "wait_cts")
-        radio.head_attempts += 1
-        rts_air = self._air(RTS_BYTES)
-        tx = self._register_tx(radio.node_id, radio.channel, self.now, self.now + rts_air)
-        if peer is not None:
-            self.schedule(tx.t_end, "FrameArrival", frame.dst,
-                          self._rts_arrival, peer, radio, tx, frame)
-        deadline = tx.t_end + SIFS + self._air(CTS_BYTES) + TIMEOUT_SLACK_S
+        ex = radio.exchange = Exchange("wait_cts")
+        rts_end = self._transmit(radio, peer, self.now, RTS_BYTES,
+                                 self._rts_arrival, radio, frame)
+        deadline = rts_end + SIFS + self._air(CTS_BYTES) + TIMEOUT_SLACK_S
         self.schedule(deadline, "TimerFire", radio.node_id,
-                      self._exchange_timeout, radio, self._token, "wait_cts")
+                      self._exchange_timeout, radio, ex, "wait_cts")
 
-    def _rts_arrival(self, rx_radio: RadioState, tx_radio: RadioState,
-                     tx: Transmission, frame: Frame):
-        if self.corrupted(rx_radio.node_id, rx_radio.channel, tx):
-            self.corrupted_receptions += 1
-            return
+    def _rts_arrival(self, rx_radio: RadioState, tx_radio: RadioState, frame: Frame):
         if rx_radio.exchange is not None or self.now < rx_radio.rx_engaged_until:
             return
         active = sorted(r.channel for r in self.nodes[rx_radio.node_id].radios
@@ -427,104 +428,78 @@ class Sim:
         cts_air = self._air(CTS_BYTES)
         rx_radio.rx_engaged_until = (self.now + SIFS + cts_air + SIFS + data_air
                                      + SIFS + ack_air + TIMEOUT_SLACK_S)
-        cts = self._register_tx(rx_radio.node_id, rx_radio.channel,
-                                self.now + SIFS, self.now + SIFS + cts_air)
-        self.schedule(cts.t_end, "FrameArrival", tx_radio.node_id,
-                      self._cts_arrival, tx_radio, rx_radio, cts, frame)
+        self._transmit(rx_radio, tx_radio, self.now + SIFS, CTS_BYTES,
+                       self._cts_arrival, rx_radio, frame)
 
-    def _cts_arrival(self, tx_radio: RadioState, rx_radio: RadioState,
-                     cts: Transmission, frame: Frame):
-        if self.corrupted(tx_radio.node_id, tx_radio.channel, cts):
-            self.corrupted_receptions += 1
-            return
+    def _cts_arrival(self, tx_radio: RadioState, rx_radio: RadioState, frame: Frame):
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_cts":
             return
         # contention is resolved the instant the CTS lands; the data frame
         # itself leaves one guard interval later
         tx_radio.release_head_to_medium(self.now)
-        start = self.now + SIFS
-        data_air = self._air(frame.size_bytes)
-        tx = self._register_tx(tx_radio.node_id, tx_radio.channel, start, start + data_air)
         ex.state = "wait_ack"
-        self.schedule(tx.t_end, "FrameArrival", rx_radio.node_id,
-                      self._data_arrival, rx_radio, tx_radio, tx, frame)
-        deadline = tx.t_end + SIFS + self._air(MAC_ACK_BYTES) + TIMEOUT_SLACK_S
+        data_end = self._transmit(tx_radio, rx_radio, self.now + SIFS, frame.size_bytes,
+                                  self._data_arrival, tx_radio, frame)
+        deadline = data_end + SIFS + self._air(MAC_ACK_BYTES) + TIMEOUT_SLACK_S
         self.schedule(deadline, "TimerFire", tx_radio.node_id,
-                      self._exchange_timeout, tx_radio, ex.token, "wait_ack")
+                      self._exchange_timeout, tx_radio, ex, "wait_ack")
 
-    def _data_arrival(self, rx_radio: RadioState, tx_radio: RadioState,
-                      tx: Transmission, frame: Frame):
-        if self.corrupted(rx_radio.node_id, rx_radio.channel, tx):
-            self.corrupted_receptions += 1
-            return
-        ack = self._register_tx(rx_radio.node_id, rx_radio.channel,
-                                self.now + SIFS, self.now + SIFS + self._air(MAC_ACK_BYTES))
-        self.schedule(ack.t_end, "FrameArrival", tx_radio.node_id,
-                      self._mac_ack_arrival, tx_radio, rx_radio, ack)
+    def _data_arrival(self, rx_radio: RadioState, tx_radio: RadioState, frame: Frame):
+        self._transmit(rx_radio, tx_radio, self.now + SIFS, MAC_ACK_BYTES,
+                       self._mac_ack_arrival)
         if rx_radio.delivered_uid_from.get(frame.src) == frame.uid:
             return                      # retransmitted copy already handed up
         rx_radio.delivered_uid_from[frame.src] = frame.uid
         self._deliver_up(rx_radio.node_id, frame)
 
-    def _mac_ack_arrival(self, tx_radio: RadioState, rx_radio: RadioState,
-                         ack: Transmission):
-        if self.corrupted(tx_radio.node_id, tx_radio.channel, ack):
-            self.corrupted_receptions += 1
-            return
+    def _mac_ack_arrival(self, tx_radio: RadioState):
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_ack":
             return
         entry = tx_radio.pop_head(self.now)
-        tx_radio.backoff.next(BackoffOutcome.SUCCESS, self.rng)
         if entry.frame.kind is FrameKind.DATA:
             self.counters["weighted_hop_cost_sum_ms"] += \
                 weighted_hop_cost(entry.ts, self.config.alpha) * 1000.0
             self.counters["weighted_hop_cost_n"] += 1
-        if tx_radio.head_attempts == 1:
-            node = self.nodes[tx_radio.node_id]
-            peer_id = entry.frame.dst
-            rec = node.records.get(peer_id)
-            if rec is None:
-                rec = NeighborRecord(neighbor=peer_id, last_hello_at=-1e9)
-                node.records[peer_id] = rec
-            # measured from queue head so a sender's own backlog does not
-            # poison the link estimate, and rescaled to the nominal data
-            # size so probe samples and data samples are comparable
+        if tx_radio.backoff.retries == 0:
+            # first try: measured from queue head so a sender's own backlog
+            # does not poison the link estimate, and rescaled to the nominal
+            # data size so probe samples and data samples are comparable
             raw = rtt_sample(entry.ts.t_h, self.now)
             adjust = (self._air(self.config.packet_size_bytes)
                       - self._air(entry.frame.size_bytes)) * 1000.0
-            rec.link_estimator.update(raw + adjust)
-        tx_radio.head_attempts = 0
+            records = self.nodes[tx_radio.node_id].records
+            neighbor_record(records, entry.frame.dst).link_estimator.update(raw + adjust)
+        tx_radio.backoff.next(BackoffOutcome.SUCCESS, self.rng)
         tx_radio.exchange = None
-        self.kick(tx_radio, delay=DIFS)
+        self.kick(tx_radio, self.now + DIFS)
 
-    def _exchange_timeout(self, radio: RadioState, token: int, phase: str):
-        ex = radio.exchange
-        if ex is None or ex.token != token or ex.state != phase:
+    def _crossed(self, radio: RadioState, frame: Frame) -> bool:
+        """Whether the data of a frame queued on radio already reached the
+        next hop, which handed it up: it lives on downstream, pending only
+        a local acknowledgement."""
+        peer = self._radio_on_channel(frame.dst, radio.channel)
+        return peer is not None and peer.delivered_uid_from.get(radio.node_id) == frame.uid
+
+    def _exchange_timeout(self, radio: RadioState, ex: Exchange, phase: str):
+        if radio.exchange is not ex or ex.state != phase:
             return
         radio.exchange = None
         slots = radio.backoff.next(BackoffOutcome.BUSY, self.rng)
         if radio.backoff.retries > RETRY_LIMIT:
             entry = radio.pop_head(self.now)
             radio.backoff.reset()
-            radio.head_attempts = 0
             self.counters["mac_discards"] += 1
             flow = self.flows.get(entry.frame.flow_id)
-            if flow is not None and entry.frame.kind is FrameKind.DATA:
-                # a copy whose data crossed but whose acknowledgements kept
-                # dying lives on at the next hop; only count a true loss
-                peer = self._radio_on_channel(entry.frame.dst, radio.channel)
-                crossed = (peer is not None and
-                           peer.delivered_uid_from.get(radio.node_id)
-                           == entry.frame.uid)
-                if not crossed:
-                    flow.copies_mac_discarded += 1
-            self.kick(radio, delay=DIFS)
+            # a copy whose data crossed but whose acknowledgements kept dying
+            # lives on at the next hop; only count a true loss
+            if flow is not None and entry.frame.kind is FrameKind.DATA \
+                    and not self._crossed(radio, entry.frame):
+                flow.copies_mac_discarded += 1
+            self.kick(radio, self.now + DIFS)
             return
-        radio.access_pending = True
-        self.schedule(self.now + DIFS + slots * SLOT_TIME, "TimerFire",
-                      radio.node_id, self._try_access, radio)
+        self.kick(radio, self.now + DIFS + slots * SLOT_TIME)
 
     # -- upper layers -------------------------------------------------------
 
@@ -558,25 +533,20 @@ class Sim:
         next_hop = self._route_next_hop(node_id, toward)
         if next_hop is None:
             self.counters["route_misses"] += 1
-            if is_data:
-                flow.copies_dropped_queue += 1
-                flow.stats.drops_queue += 1
+        elif self._enqueue(node_id, Frame(
+                kind=frame.kind, src=node_id, dst=next_hop,
+                size_bytes=frame.size_bytes, flow_id=frame.flow_id, seq=frame.seq,
+                uid=frame.uid, born=frame.born, payload=frame.payload)):
             return
-        copy = Frame(kind=frame.kind, src=node_id, dst=next_hop, channel=0,
-                     size_bytes=frame.size_bytes, flow_id=frame.flow_id,
-                     seq=frame.seq, uid=frame.uid, born=frame.born,
-                     payload=frame.payload)
-        if not self._enqueue(node_id, copy):
-            if is_data:
-                flow.copies_dropped_queue += 1
-                flow.stats.drops_queue += 1
+        if is_data:
+            flow.stats.drops_queue += 1
 
     def _send_transport_ack(self, flow: FlowRuntime, seq: int, node_id: int):
         next_hop = self._route_next_hop(node_id, flow.src)
         if next_hop is None:
             self.counters["route_misses"] += 1
             return
-        ack = Frame(kind=FrameKind.ACK, src=node_id, dst=next_hop, channel=0,
+        ack = Frame(kind=FrameKind.ACK, src=node_id, dst=next_hop,
                     size_bytes=TRANSPORT_ACK_BYTES, flow_id=flow.flow_id,
                     seq=seq, uid=self._new_uid(), born=self.now)
         self._enqueue(node_id, ack)
@@ -613,13 +583,12 @@ class Sim:
 
     def _inject_copy(self, flow: FlowRuntime, rec: UnackedPacket, next_hop: int):
         rec.copies += 1
-        frame = Frame(kind=FrameKind.DATA, src=flow.src, dst=next_hop, channel=0,
+        frame = Frame(kind=FrameKind.DATA, src=flow.src, dst=next_hop,
                       size_bytes=self.config.packet_size_bytes,
                       flow_id=flow.flow_id, seq=rec.seq, uid=self._new_uid(),
                       born=rec.first_send)
         flow.copies_injected += 1
         if not self._enqueue(flow.src, frame):
-            flow.copies_dropped_queue += 1
             flow.stats.drops_queue += 1
 
     def _rto_expiry(self, flow: FlowRuntime, seq: int, generation: int):
@@ -770,7 +739,7 @@ class Sim:
             node_id, [node.records[k] for k in sorted(node.records)],
             self.topo.gateway, self.now)
         for v in sorted(self.topo.comm_adjacency[node_id]):
-            hello = Frame(kind=FrameKind.HELLO, src=node_id, dst=v, channel=0,
+            hello = Frame(kind=FrameKind.HELLO, src=node_id, dst=v,
                           size_bytes=HELLO_BYTES, uid=self._new_uid(),
                           born=self.now, payload=node.cum_rtt_advert)
             if not self._enqueue(node_id, hello):
@@ -795,12 +764,9 @@ class Sim:
                 and spare.exchange is None and not spare.queue \
                 and spare.rx_engaged_until <= self.now:
             spare.channel = choice
-            self.counters["pcl_retunes"] = self.counters.get("pcl_retunes", 0) + 1
+            self.counters["pcl_retunes"] += 1
         self.schedule(self.now + BEACON_INTERVAL_S, "BeaconTick", node_id,
                       self._beacon_tick, node_id)
-
-    def _flow_start(self, flow: FlowRuntime):
-        self._fill_window(flow)
 
     # -- run ------------------------------------------------------------------
 
@@ -821,7 +787,7 @@ class Sim:
                                   "BeaconTick", node_id, self._beacon_tick, node_id)
             for flow_id in sorted(self.flows):
                 self.schedule(min(FLOW_START_S, sim_time), "FlowSendWindow",
-                              self.flows[flow_id].src, self._flow_start,
+                              self.flows[flow_id].src, self._fill_window,
                               self.flows[flow_id])
         while self._heap and self._heap[0][0] <= sim_time:
             t, _, label, node, fn, args = heapq.heappop(self._heap)
@@ -844,15 +810,10 @@ class Sim:
                     if entry.frame.kind is not FrameKind.DATA \
                             or entry.frame.flow_id not in residual:
                         continue
-                    # skip ghosts: entries whose data already crossed this
-                    # hop and lives on downstream, pending only a local ack
-                    peer = self._radio_on_channel(entry.frame.dst, radio.channel)
-                    if peer is not None and peer.delivered_uid_from.get(
-                            node_id) == entry.frame.uid:
-                        continue
-                    residual[entry.frame.flow_id] += 1
+                    if not self._crossed(radio, entry.frame):
+                        residual[entry.frame.flow_id] += 1
         for fid, flow in self.flows.items():
-            balance = (flow.copies_delivered + flow.copies_dropped_queue
+            balance = (flow.copies_delivered + flow.stats.drops_queue
                        + flow.copies_mac_discarded + residual[fid])
             if flow.copies_injected != balance:
                 raise SimulationFault(

@@ -37,13 +37,12 @@ class SimulationFault(RuntimeError):
 
 
 class FrameKind(enum.Enum):
-    RTS = "RTS"
-    CTS = "CTS"
+    """Kinds of queued frames.  RTS, CTS and MAC acknowledgements go on the
+    air without being queued, and route control travels out of band."""
+
     DATA = "DATA"
     ACK = "ACK"
     HELLO = "HELLO"
-    RREQ = "RREQ"
-    RREP = "RREP"
 
 
 @dataclass
@@ -51,7 +50,6 @@ class Frame:
     kind: FrameKind
     src: int
     dst: int
-    channel: int
     size_bytes: int
     flow_id: int = -1
     seq: int = -1
@@ -157,7 +155,6 @@ def weighted_hop_cost(ts: QueueTimestamps, alpha: float) -> float:
 
 class BackoffOutcome(enum.Enum):
     BUSY = "Busy"
-    DEFERRED = "Deferred"
     SUCCESS = "Success"
 
 
@@ -208,7 +205,6 @@ class MacRadioState:
         self.capacity = capacity
         self.queue = deque()
         self.backoff = backoff or BackoffState()
-        self.drops_queue_full = 0
         self._last_time = 0.0
 
     def _check_clock(self, now: float):
@@ -219,7 +215,6 @@ class MacRadioState:
     def enqueue(self, frame: Frame, now: float) -> EnqueueResult:
         self._check_clock(now)
         if len(self.queue) >= self.capacity:
-            self.drops_queue_full += 1
             return EnqueueResult.DROPPED_QUEUE_FULL
         ts = QueueTimestamps(t_i=now)
         if not self.queue:

@@ -59,18 +59,6 @@ class CorReport:
     collision_class: CollisionClass
 
 
-def delivery_ratio(stats: FlowStats) -> Optional[float]:
-    if stats.packets_sent <= 0:
-        return None
-    return stats.packets_received_at_gateway / stats.packets_sent
-
-
-def throughput_kbps(stats: FlowStats, duration: float) -> float:
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return stats.bytes_received * 8 / duration / 1000
-
-
 def cor(after_throughput: float, before_throughput: float) -> Optional[float]:
     """Restitution ratio: baseline ("after the drop") over re-routed throughput."""
     if before_throughput <= 0:

@@ -2,9 +2,12 @@
 cumulative RTT toward the gateway, potential-field next-hop choice, and
 on-demand route discovery under hop-count or RTT metrics.
 
-Gateway-bound forwarding treats each node's minimum summed round-trip time
-to the gateway as a potential; packets flow toward the neighbor with the
-least remaining potential, so converged values admit no loops.
+The engine forwards every packet, gateway-bound or not, on routes that
+`aodv_discover` resolves under the phase's metric and installs in each node's
+`RouteTable`.  Each node's minimum summed round-trip time to the gateway
+(`cumulative_rtt`) is only advertised in its hellos.  The potential field
+(`converge_potentials`, `next_hop_select`) states the loop-free fixed point
+those advertisements converge to; no forwarding decision reads it.
 """
 
 from __future__ import annotations
@@ -86,16 +89,20 @@ class NeighborRecord:
         return now - self.last_hello_at <= timeout
 
 
+def neighbor_record(records: Dict[int, NeighborRecord], neighbor: int) -> NeighborRecord:
+    """The record kept for one neighbor, created on first use as never heard
+    from, so it stays inactive until a hello arrives."""
+    rec = records.get(neighbor)
+    if rec is None:
+        rec = records[neighbor] = NeighborRecord(neighbor=neighbor, last_hello_at=-1e9)
+    return rec
+
+
 def process_hello(records: Dict[int, NeighborRecord], sender: int,
                   advertised_cum_rtt: float, now: float) -> NeighborRecord:
-    rec = records.get(sender)
-    if rec is None:
-        rec = NeighborRecord(neighbor=sender, last_hello_at=now,
-                             advertised_cum_rtt=advertised_cum_rtt)
-        records[sender] = rec
-    else:
-        rec.last_hello_at = now
-        rec.advertised_cum_rtt = advertised_cum_rtt
+    rec = neighbor_record(records, sender)
+    rec.last_hello_at = now
+    rec.advertised_cum_rtt = advertised_cum_rtt
     return rec
 
 

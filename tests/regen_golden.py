@@ -27,7 +27,8 @@ from meshsim import cli  # noqa: E402
 
 # (cell name, scenario text).  Short runs keep the whole matrix near 10 s
 # while covering every topology kind, channel plan, handshake mode, traffic
-# class and protocol selection, a jammer, long airtime and a cor > 1 cell.
+# class and protocol selection, a jammer, long airtime and a cor > 1 cell,
+# plus the edge cases of one radio per node and an always-on jammer.
 CELLS = (
     ("chain4-orthogonal", "topology = chain(4)\nsim_time_s = 5\nseed = 1\n"),
     ("chain5-overlapping-literal-dt",
@@ -50,6 +51,13 @@ CELLS = (
      "topology = random(15)\ndata_rate_bps = 200000\nsim_time_s = 10\nseed = 8\n"),
     ("random20-cor-above-one", "topology = random(20)\nsim_time_s = 8\nseed = 1\n"),
     ("chain3-zero-time", "topology = chain(3)\nsim_time_s = 0\n"),
+    ("chain4-one-radio",
+     "topology = chain(4)\nradios_per_node = 1\nchannel_plan = 6;6;6;6\n"
+     "sim_time_s = 6\nseed = 2\n"),
+    ("chain4-jammer-always-on",
+     "topology = chain(4)\nchannel_plan = overlapping\njammer_channel = 3\n"
+     "jammer_x = 225\njammer_y = 0\njammer_on_s = 1000\njammer_off_s = 0.01\n"
+     "sim_time_s = 6\nseed = 3\n"),
 )
 
 

@@ -13,8 +13,7 @@ import time
 import pytest
 
 from meshsim import cli
-from meshsim.channel import (DEFAULT_PROFILE, SeparationClass, classify,
-                             interference_factor)
+from meshsim.channel import SeparationClass, classify, interference_factor
 from meshsim.config import parse_config
 from meshsim.engine import Sim
 from meshsim.experiment import corciar_run, median_cells, sweep
@@ -94,7 +93,7 @@ def test_separation_classes_and_factors():
             assert classify(c1, c2) is want
     for a, b in ((1, 6), (6, 11), (1, 11)):
         assert classify(a, b) is SeparationClass.ORTHOGONAL
-        assert interference_factor(a, b, DEFAULT_PROFILE) == 0.0
+        assert interference_factor(a, b) == 0.0
     print("\nseparation classes: 121 pairs match the |delta| oracle, "
           "1/6/11 mutually orthogonal with zero factor")
 

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from meshsim.channel import (
-    DEFAULT_PROFILE,
-    InterferenceProfile,
+    INTERFERENCE_BY_SEPARATION,
     PclTable,
     Preference,
     SeparationClass,
@@ -100,7 +99,7 @@ def test_default_factor_symmetric_and_monotone():
     for c1 in ALL_CHANNELS:
         for c2 in ALL_CHANNELS:
             assert interference_factor(c1, c2) == interference_factor(c2, c1)
-    factors = [DEFAULT_PROFILE.factor_for_separation(sep) for sep in range(11)]
+    factors = [interference_factor(1, 1 + sep) for sep in range(11)]
     for lo, hi in zip(factors[1:], factors):
         assert lo <= hi
     assert all(f == 0.0 for f in factors[5:])
@@ -116,15 +115,12 @@ def test_orthogonal_pairs_have_zero_factor():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        InterferenceProfile([0.9, 0.5, 0.3, 0.2, 0.1, 0.0])  # must start at 1.0
-    with pytest.raises(ValueError):
-        InterferenceProfile([1.0, 0.5, 0.6, 0.2, 0.1, 0.0])  # must not increase
-    with pytest.raises(ValueError):
-        InterferenceProfile([1.0, 0.8, 0.6, 0.4, 0.2, 0.1])  # zero from separation 5
-    custom = InterferenceProfile([1.0, 1.0, 0.5, 0.5, 0.0, 0.0])
-    assert custom.factor(1, 2) == 1.0
-    assert custom.factor(1, 5) == 0.0
+    table = INTERFERENCE_BY_SEPARATION
+    assert len(table) == 11                         # separations 0..10
+    assert table[0] == 1.0                          # co-channel
+    assert all(b <= a for a, b in zip(table, table[1:]))   # nonincreasing
+    assert all(f == 0.0 for f in table[5:])         # zero from separation 5
+    assert all(0.0 <= f <= 1.0 for f in table)
 
 
 def _highs(pcl):

@@ -164,7 +164,7 @@ def test_pcl_plan_runs_and_conserves():
     st = res.flow_stats[0]
     assert st.packets_sent == (st.packets_received_at_gateway
                                + st.drops_retry + st.in_flight_at_end)
-    assert "pcl_retunes" in res.counters
+    assert res.counters["pcl_retunes"] > 0
 
 
 def test_random_topology_three_flows():

@@ -163,7 +163,7 @@ def test_backoff_success_resets():
     state = BackoffState()
     rng = random.Random(3)
     for _ in range(4):
-        state.next(BackoffOutcome.DEFERRED, rng)
+        state.next(BackoffOutcome.BUSY, rng)
     assert state.cw == 511 and state.retries == 4
     assert state.next(BackoffOutcome.SUCCESS, rng) == 0
     assert state.cw == 31 and state.retries == 0
@@ -189,7 +189,7 @@ def test_backoff_draws_are_seed_deterministic():
 
 
 def _frame(seq=0):
-    return Frame(kind=FrameKind.DATA, src=1, dst=2, channel=6, size_bytes=1000, seq=seq)
+    return Frame(kind=FrameKind.DATA, src=1, dst=2, size_bytes=1000, seq=seq)
 
 
 def test_enqueue_to_empty_queue_is_instant_head():
@@ -204,7 +204,6 @@ def test_queue_capacity_drops_excess():
     for i in range(50):
         assert radio.enqueue(_frame(i), float(i)) is EnqueueResult.ACCEPTED
     assert radio.enqueue(_frame(50), 50.0) is EnqueueResult.DROPPED_QUEUE_FULL
-    assert radio.drops_queue_full == 1
     assert len(radio) == 50
 
 

@@ -11,11 +11,9 @@ from meshsim.metrics import (
     RunSummary,
     classify_collision,
     cor,
-    delivery_ratio,
     energy_ratio,
     make_cor_report,
     summarize,
-    throughput_kbps,
 )
 
 # Reference measurement pairs: (baseline Kbps, re-routed Kbps, expected ratio).
@@ -121,17 +119,21 @@ def test_cor_report_assembly():
 
 
 def test_delivery_ratio():
-    assert delivery_ratio(FlowStats(packets_sent=100, packets_received_at_gateway=100)) == 1.0
-    assert delivery_ratio(FlowStats(packets_sent=200, packets_received_at_gateway=150)) == 0.75
-    assert delivery_ratio(FlowStats()) is None
+    def ratio(stats):
+        return summarize([stats], duration=100.0, protocol_label="x").delivery_ratio
+    assert ratio(FlowStats(packets_sent=100, packets_received_at_gateway=100)) == 1.0
+    assert ratio(FlowStats(packets_sent=200, packets_received_at_gateway=150)) == 0.75
+    assert ratio(FlowStats()) is None
 
 
 def test_throughput_arithmetic():
     stats = FlowStats(bytes_received=1_250_000)
-    assert throughput_kbps(stats, 100.0) == pytest.approx(100.0)
-    assert throughput_kbps(FlowStats(), 100.0) == 0.0
+    assert summarize([stats], duration=100.0,
+                     protocol_label="x").throughput_kbps == pytest.approx(100.0)
+    assert summarize([FlowStats()], duration=100.0,
+                     protocol_label="x").throughput_kbps == 0.0
     with pytest.raises(ValueError):
-        throughput_kbps(stats, 0.0)
+        summarize([stats], duration=0.0, protocol_label="x")
 
 
 def test_summarize_aggregates_flows():
