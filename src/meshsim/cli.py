@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from .channel import classify, interference_factor
 from .config import ConfigError, ScenarioConfig, parse_config
 from .experiment import RunRow, execute, median_cells, sweep
-from .mac import RtsDecision, SimulationFault, handle_rts_delay_tolerant, handle_rts_qos
+from .mac import SimulationFault, handle_rts_delay_tolerant, handle_rts_qos
 from .topology import BuildError
 
 CSV_HEADER = ("scenario,seed,protocol,n_nodes,n_hops,throughput_kbps,"

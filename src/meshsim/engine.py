@@ -3,6 +3,16 @@ medium with partially-overlapped-channel corruption, the RTS/CTS + backoff
 exchange machinery, hello probing, on-demand route establishment, and a
 reliable windowed transport that generates RTT-measurable traffic.
 
+Medium model: a reception is corrupted when a transmission on a conflicting
+channel (interference factor above theta) from a sender within
+INTERFERENCE_RANGE_M of the receiver overlaps any part of its airtime, or
+when the jammer does.  Transmissions are kept per channel; a query scans only
+the conflicting channels' lists and tests the sender against the receiver's
+precomputed hearing set.  Registering a frame drops from the head of its
+channel's list the transmissions that ended more than the largest frame's
+airtime ago: those can no longer overlap any reception still pending, so no
+interferer is lost to a time-horizon shortcut.
+
 Determinism contract: one seeded generator drives every draw, events
 dispatch in (time, insertion ordinal) order, and all container iteration is
 in sorted key order, so identical (config, seed) reproduces the run
@@ -17,14 +27,16 @@ still measured in band.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from .channel import CHANNEL_MAX, INTERFERENCE_BY_SEPARATION, PclTable
+from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION, PclTable
 from .config import ScenarioConfig
 from .mac import (
     BackoffOutcome,
@@ -83,6 +95,17 @@ ROUTE_REEVAL_S = 5.0
 # re-evaluation switches; near-ties would otherwise flap on sample noise
 REROUTE_GAIN = 0.8
 TIMEOUT_SLACK_S = 2 * SLOT_TIME
+
+
+@functools.lru_cache(maxsize=None)
+def conflicting_channels(theta: float) -> Tuple[Tuple[int, ...], ...]:
+    """conflicting[b]: the channels whose transmissions disturb a radio on
+    channel b (symmetric); channels index it directly, so entry 0 is empty
+    padding."""
+    return tuple(
+        tuple(a for a in ALL_CHANNELS
+              if b > 0 and INTERFERENCE_BY_SEPARATION[abs(a - b)] > theta)
+        for b in range(CHANNEL_MAX + 1))
 
 
 class Jammer:
@@ -236,13 +259,7 @@ class Sim:
             "pcl_retunes": 0,
         }
 
-        # conflict[a][b]: a transmission on channel a disturbs a radio on
-        # channel b (symmetric); channels index it directly, so row and
-        # column 0 are unused padding
-        hits = [f > config.theta for f in INTERFERENCE_BY_SEPARATION]
-        self.conflict = [[a > 0 and b > 0 and hits[abs(a - b)]
-                          for b in range(CHANNEL_MAX + 1)]
-                         for a in range(CHANNEL_MAX + 1)]
+        self.conflicting = conflicting_channels(config.theta)
         self.rate = config.data_rate_bps
         self.rts_decide = rts_handler(config.traffic_class)
         self.rts_mode = config.rts_mode
@@ -252,13 +269,28 @@ class Sim:
             n.node_id: NodeState(n.node_id, n.channels, config.queue_capacity, use_pcl)
             for n in self.topo.nodes
         }
-        self.active_tx: List[Transmission] = []
+        # in-flight transmissions per channel, in registration order
+        self.on_air: List[Deque[Transmission]] = [deque() for _ in range(CHANNEL_MAX + 1)]
+        # every sender whose transmissions reach node u, u itself included
+        self.hears: Dict[int, frozenset] = {
+            u: frozenset((u, *others))
+            for u, others in self.topo.interference_candidates.items()}
+        # no pending reception started before now - horizon; a slot of slack
+        # keeps the bound clear of float rounding in start + airtime
+        self.horizon = self._air(max(
+            config.packet_size_bytes, RTS_BYTES, CTS_BYTES, MAC_ACK_BYTES,
+            HELLO_BYTES, TRANSPORT_ACK_BYTES)) + SLOT_TIME
 
         self.jammer = None
+        self.jammed: frozenset = frozenset()     # nodes within the jammer's reach
         if config.jammer_channel is not None:
             self.jammer = Jammer(config.jammer_channel, config.jammer_x,
                                  config.jammer_y, config.jammer_on_s,
                                  config.jammer_off_s)
+            self.jammed = frozenset(
+                n.node_id for n in self.topo.nodes
+                if math.hypot(n.x - self.jammer.x, n.y - self.jammer.y)
+                <= INTERFERENCE_RANGE_M)
 
         self.flows: Dict[int, FlowRuntime] = {}
         for i, (src, dst) in enumerate(resolve_flows(config, self.topo)):
@@ -300,46 +332,42 @@ class Sim:
 
     def _register_tx(self, sender: int, channel: int, t_start: float, t_end: float) -> Transmission:
         tx = Transmission(sender, channel, t_start, t_end)
-        self.active_tx.append(tx)
-        if len(self.active_tx) > 64:
-            cutoff = self.now - 0.02
-            self.active_tx = [t for t in self.active_tx if t.t_end > cutoff]
+        on_air = self.on_air[channel]
+        cutoff = self.now - self.horizon
+        while on_air and on_air[0].t_end <= cutoff:
+            on_air.popleft()
+        on_air.append(tx)
         return tx
 
-    def _jam_dist(self, node_id: int) -> float:
-        node = self.topo.by_id[node_id]
-        return math.hypot(node.x - self.jammer.x, node.y - self.jammer.y)
-
     def carrier_busy(self, node_id: int, channel: int) -> Tuple[bool, float]:
+        now = self.now
         busy = False
-        free_at = self.now
-        conflicts = self.conflict[channel]
-        for tx in self.active_tx:
-            if tx.t_start <= self.now < tx.t_end and conflicts[tx.channel] \
-                    and self.topo.distance(tx.sender, node_id) <= INTERFERENCE_RANGE_M:
-                busy = True
-                free_at = max(free_at, tx.t_end)
-        if self.jammer is not None and self.jammer.active(self.now) \
-                and conflicts[self.jammer.channel] \
-                and self._jam_dist(node_id) <= INTERFERENCE_RANGE_M:
+        free_at = now
+        hears = self.hears[node_id]
+        conflicting = self.conflicting[channel]
+        for c in conflicting:
+            for tx in self.on_air[c]:
+                if tx.t_start <= now < tx.t_end and tx.sender in hears:
+                    busy = True
+                    if tx.t_end > free_at:
+                        free_at = tx.t_end
+        if node_id in self.jammed and self.jammer.channel in conflicting \
+                and self.jammer.active(now):
             busy = True
-            free_at = max(free_at, self.jammer.busy_end(self.now))
+            free_at = max(free_at, self.jammer.busy_end(now))
         return busy, free_at
 
     def corrupted(self, node_id: int, channel: int, subject: Transmission) -> bool:
-        conflicts = self.conflict[channel]
-        for tx in self.active_tx:
-            if tx is subject:
-                continue
-            if tx.t_start < subject.t_end and tx.t_end > subject.t_start \
-                    and conflicts[tx.channel] \
-                    and self.topo.distance(tx.sender, node_id) <= INTERFERENCE_RANGE_M:
-                return True
-        if self.jammer is not None and conflicts[self.jammer.channel] \
-                and self._jam_dist(node_id) <= INTERFERENCE_RANGE_M \
-                and self.jammer.overlaps(subject.t_start, subject.t_end):
-            return True
-        return False
+        t0, t1 = subject.t_start, subject.t_end
+        hears = self.hears[node_id]
+        conflicting = self.conflicting[channel]
+        for c in conflicting:
+            for tx in self.on_air[c]:
+                if tx.t_start < t1 and tx.t_end > t0 and tx.sender in hears \
+                        and tx is not subject:
+                    return True
+        return node_id in self.jammed and self.jammer.channel in conflicting \
+            and self.jammer.overlaps(t0, t1)
 
     def _transmit(self, sender: RadioState, receiver: Optional[RadioState],
                   start: float, size_bytes: int, on_arrival, *args) -> float:

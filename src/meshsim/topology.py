@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from .config import ScenarioConfig, TopologySpec
+from .config import ScenarioConfig
 
 TX_RANGE_M = 250.0
 INTERFERENCE_RANGE_M = 550.0
@@ -54,23 +54,23 @@ class Topology:
                 raise BuildError(f"node {n.node_id} at ({n.x}, {n.y}) outside "
                                  f"{width} x {height} area")
         self._dist: Dict[Tuple[int, int], float] = {}
-        ids = [n.node_id for n in self.nodes]
-        for i, u in enumerate(ids):
-            for v in ids[i + 1:]:
-                a, b = self.by_id[u], self.by_id[v]
+        self.comm_adjacency: Dict[int, Set[int]] = {n.node_id: set() for n in self.nodes}
+        # everyone whose transmissions can matter at this node; the pair loop
+        # below visits nodes in id order, so each list comes out sorted
+        self.interference_candidates: Dict[int, List[int]] = {
+            n.node_id: [] for n in self.nodes}
+        for i, a in enumerate(self.nodes):
+            for b in self.nodes[i + 1:]:
+                u, v = a.node_id, b.node_id
                 d = math.hypot(a.x - b.x, a.y - b.y)
                 self._dist[(u, v)] = d
                 self._dist[(v, u)] = d
-        self.comm_adjacency: Dict[int, Set[int]] = {u: set() for u in ids}
-        for (u, v), d in self._dist.items():
-            if u < v and d <= TX_RANGE_M and self.shared_channels(u, v):
-                self.comm_adjacency[u].add(v)
-                self.comm_adjacency[v].add(u)
-        # everyone whose transmissions can matter at this node
-        self.interference_candidates: Dict[int, List[int]] = {
-            u: sorted(v for v in ids if v != u and self._dist[(u, v)] <= INTERFERENCE_RANGE_M)
-            for u in ids
-        }
+                if d <= TX_RANGE_M and self.shared_channels(u, v):
+                    self.comm_adjacency[u].add(v)
+                    self.comm_adjacency[v].add(u)
+                if d <= INTERFERENCE_RANGE_M:
+                    self.interference_candidates[u].append(v)
+                    self.interference_candidates[v].append(u)
 
     def distance(self, u: int, v: int) -> float:
         return 0.0 if u == v else self._dist[(u, v)]

@@ -5,7 +5,9 @@ reference matrix, run through the command line.
 
 tests/test_golden.py reruns the matrix and compares it with the file line by
 line.  A change that alters any simulated output shows up as a changed line;
-regenerate only when such a change is intended, and name each changed cell.
+regenerate only when such a change is intended, and name each changed cell
+(the script prints the cells whose lines differ from the stored file).
+
 Each line is `<cell> trace=<sha256 of the phase's trace lines> <csv row>`,
 with `-` for a phase that emits no row.
 """
@@ -88,9 +90,23 @@ def golden_lines():
                 for line in cell_lines(name, text, Path(tmp))]
 
 
+def lines_by_cell(lines):
+    cells = {}
+    for line in lines:
+        cells.setdefault(line.split()[0], []).append(line)
+    return cells
+
+
 def main() -> int:
-    GOLDEN_PATH.write_text("\n".join(golden_lines()) + "\n", encoding="utf-8")
+    before = lines_by_cell(GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
+                           if GOLDEN_PATH.exists() else [])
+    lines = golden_lines()
+    after = lines_by_cell(lines)
+    GOLDEN_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
+    changed = [name for name in [*after, *(n for n in before if n not in after)]
+               if before.get(name) != after.get(name)]
+    print("changed cells: " + (", ".join(changed) if changed else "none"))
     return 0
 
 

@@ -1,8 +1,6 @@
 """Command line contract: CSV shapes, exit codes, byte stability, and the
 channel decision tables."""
 
-import dataclasses
-
 import pytest
 
 from meshsim import cli

@@ -2,15 +2,19 @@
 conservation, and the two-phase rerouting experiment."""
 
 import io
+import math
+import time
 
 import pytest
 
+from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec
 from meshsim.engine import FLOW_START_S, Sim
 from meshsim.experiment import corciar_run
 from meshsim.mac import SimulationFault
 from meshsim.metrics import CollisionClass
 from meshsim.routing import RouteMetric
+from meshsim.topology import INTERFERENCE_RANGE_M
 
 
 def chain_cfg(n, **kw):
@@ -173,3 +177,93 @@ def test_random_topology_three_flows():
     res = Sim(cfg, RouteMetric.HOP_COUNT, "x").run()
     assert len(res.flow_stats) == 3
     assert sum(s.packets_received_at_gateway for s in res.flow_stats) > 0
+
+
+def test_long_frame_keeps_an_early_interferer():
+    # a 40 ms frame at 200 kbit/s; an interferer 300 m from the receiver on
+    # a conflicting channel ends 2 ms into it, then 70 more transmissions
+    # from out of earshot fill the next 35 ms
+    sim = Sim(chain_cfg(6, data_rate_bps=200000), RouteMetric.HOP_COUNT, "x")
+    subject = sim._register_tx(0, 1, 0.0, 0.04)
+    sim._register_tx(2, 3, 0.0, 0.002)
+    for i in range(70):
+        sim.now = 0.0025 + i * 0.0005
+        sim._register_tx(5, 3, sim.now, sim.now + 0.0004)
+    sim.now = subject.t_end
+    assert sim.corrupted(1, 1, subject)
+
+
+class OracleSim(Sim):
+    """Keeps every transmission it registers and checks each medium answer
+    against a brute-force scan of that full list."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.every_tx = []
+        self.answers = {"busy": 0, "idle": 0, "corrupt": 0, "clean": 0}
+
+    def _register_tx(self, *args):
+        tx = super()._register_tx(*args)
+        self.every_tx.append(tx)
+        return tx
+
+    def _tx_disturbs(self, tx, node_id, channel):
+        return interference_factor(tx.channel, channel) > self.config.theta \
+            and self.topo.distance(tx.sender, node_id) <= INTERFERENCE_RANGE_M
+
+    def _jam_disturbs(self, node_id, channel):
+        jam = self.jammer
+        if jam is None:
+            return False
+        node = self.topo.by_id[node_id]
+        return interference_factor(jam.channel, channel) > self.config.theta \
+            and math.hypot(node.x - jam.x, node.y - jam.y) <= INTERFERENCE_RANGE_M
+
+    def carrier_busy(self, node_id, channel):
+        got = super().carrier_busy(node_id, channel)
+        ends = [tx.t_end for tx in self.every_tx
+                if tx.t_start <= self.now < tx.t_end
+                and self._tx_disturbs(tx, node_id, channel)]
+        if self._jam_disturbs(node_id, channel) and self.jammer.active(self.now):
+            ends.append(self.jammer.busy_end(self.now))
+        assert got == (bool(ends), max([self.now, *ends]))
+        self.answers["busy" if got[0] else "idle"] += 1
+        return got
+
+    def corrupted(self, node_id, channel, subject):
+        got = super().corrupted(node_id, channel, subject)
+        want = any(tx is not subject and tx.t_start < subject.t_end
+                   and tx.t_end > subject.t_start
+                   and self._tx_disturbs(tx, node_id, channel)
+                   for tx in self.every_tx) \
+            or (self._jam_disturbs(node_id, channel)
+                and self.jammer.overlaps(subject.t_start, subject.t_end))
+        assert got == want
+        self.answers["corrupt" if got else "clean"] += 1
+        return got
+
+
+ORACLE_CASES = (
+    ("chain5-overlapping", chain_cfg(5, channel_plan="overlapping",
+                                     sim_time_s=6.0, seed=2)),
+    ("random20", ScenarioConfig(topology=TopologySpec("random", 20),
+                                sim_time_s=3.3, seed=1)),
+    # 40 ms frames: a medium that forgot transmissions 20 ms after they
+    # ended would miss an interferer here
+    ("random15-200kbps", ScenarioConfig(topology=TopologySpec("random", 15),
+                                        data_rate_bps=200000,
+                                        sim_time_s=4.0, seed=2)),
+    ("mesh8-jammer", ScenarioConfig(topology=TopologySpec("mesh8"), sim_time_s=8.0,
+                                    seed=1, jammer_channel=1,
+                                    jammer_x=100.0, jammer_y=-80.0)),
+)
+
+
+def test_medium_matches_brute_force_scan():
+    t0 = time.monotonic()
+    for name, cfg in ORACLE_CASES:
+        sim = OracleSim(cfg, RouteMetric.HOP_COUNT, "x")
+        sim.run()
+        seen = sim.answers
+        assert min(seen.values()) > 0, (name, seen)
+    assert time.monotonic() - t0 < 10.0

@@ -1,7 +1,5 @@
 """Throughput, delivery, restitution ratio, and aggregation checks."""
 
-import math
-
 import pytest
 
 from meshsim.metrics import (

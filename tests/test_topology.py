@@ -1,7 +1,5 @@
 """Placement, channel assignment, and communication-graph derivation."""
 
-import math
-
 import pytest
 
 from meshsim.config import parse_config
