@@ -14,12 +14,12 @@ from typing import List, Optional, Sequence
 
 from .channel import classify, interference_factor
 from .config import ConfigError, ScenarioConfig, parse_config
-from .experiment import RunRow, execute, median_cells, sweep
+from .experiment import NUMERIC_COLUMNS, RunRow, execute, median_cells, sweep
 from .mac import SimulationFault, handle_rts_delay_tolerant, handle_rts_qos
 from .topology import BuildError
 
-CSV_HEADER = ("scenario,seed,protocol,n_nodes,n_hops,throughput_kbps,"
-              "delivery_ratio,mean_delay_ms,mean_rtt_ms,cor,collision_class")
+CSV_HEADER = ",".join(["scenario", "seed", "protocol",
+                       *(name for name, _, _ in NUMERIC_COLUMNS), "collision_class"])
 
 ROUTES_HEADER = "node,destination,next_hop,hop_count,rtt_cost_ms,expires_at"
 
@@ -38,26 +38,14 @@ def _fmt_count(value: Optional[float]) -> str:
     return f"{value:g}"
 
 
+def _cell(value: Optional[float], count: bool) -> str:
+    return _fmt_count(value) if count else _fmt(value)
+
+
 def _result_cells(row: RunRow) -> List[str]:
-    s = row.result.summary
-    cor_cell = ""
-    class_cell = ""
-    if row.cor_report is not None:
-        cor_cell = _fmt(row.cor_report.cor)
-        class_cell = row.cor_report.collision_class.value
-    return [
-        row.scenario,
-        str(row.seed),
-        row.protocol,
-        str(row.result.n_nodes),
-        "" if row.result.n_hops is None else str(row.result.n_hops),
-        _fmt(s.throughput_kbps),
-        _fmt(s.delivery_ratio),
-        _fmt(s.mean_e2e_delay_ms),
-        _fmt(s.mean_rtt_ms),
-        cor_cell,
-        class_cell,
-    ]
+    return [row.scenario, str(row.seed), row.protocol,
+            *(_cell(value(row), count) for _, value, count in NUMERIC_COLUMNS),
+            "" if row.cor_report is None else row.cor_report.collision_class.value]
 
 
 def _write_rows(out, lines: Sequence[str]):
@@ -163,29 +151,17 @@ def cmd_sweep(args) -> int:
     lines = [CSV_HEADER]
     for _, row in rows:
         lines.append(",".join(_result_cells(row)))
+    protocols = list(dict.fromkeys(row.protocol for _, row in rows))
     for value in values:
-        protocols = []
-        for _, row in rows:
-            if row.protocol not in protocols:
-                protocols.append(row.protocol)
         for proto in protocols:
             group = [row for v, row in rows if v == value and row.protocol == proto]
             if not group:
                 continue
             med = median_cells(group)
             lines.append(",".join([
-                group[0].scenario,
-                "",
-                f"{proto}=median:",
-                _fmt_count(med["n_nodes"]),
-                _fmt_count(med["n_hops"]),
-                _fmt(med["throughput_kbps"]),
-                _fmt(med["delivery_ratio"]),
-                _fmt(med["mean_delay_ms"]),
-                _fmt(med["mean_rtt_ms"]),
-                _fmt(med["cor"]),
-                "",
-            ]))
+                group[0].scenario, "", f"{proto}=median:",
+                *(_cell(med[name], count) for name, _, count in NUMERIC_COLUMNS),
+                ""]))
     _emit(args.out, lines)
     return 0
 

@@ -23,6 +23,14 @@ per-hop latency; only data, acknowledgements, and hello probes contend for
 the simulated spectrum.  This keeps hop-count discovery exactly equal to
 shortest-hop paths on the connectivity graph while every routing METRIC is
 still measured in band.
+
+Route lifecycle: a source without a route runs discovery: `_best_path`
+resolves a path under the phase's metric, and a search that finds none is
+tried again DISCOVERY_TIMEOUT later, up to DISCOVERY_ATTEMPTS tries.  The
+found path is installed, both ways, in every node along it once the reply
+has crossed it.  Under the RTT metric a flow's route is then re-evaluated
+every ROUTE_REEVAL_S (5 s) and switched when the best path's measured cost
+is under REROUTE_GAIN of the current one's, a gain of at least 20%.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION, PclTable
 from .config import ScenarioConfig
@@ -184,7 +192,7 @@ class NodeState:
 
 
 class UnackedPacket:
-    __slots__ = ("seq", "first_send", "rto", "retx", "copies", "generation")
+    __slots__ = ("seq", "first_send", "rto", "retx", "copies")
 
     def __init__(self, seq: int, first_send: float, rto: float):
         self.seq = seq
@@ -192,7 +200,6 @@ class UnackedPacket:
         self.rto = rto
         self.retx = 0
         self.copies = 0
-        self.generation = 0
 
 
 class FlowRuntime:
@@ -296,16 +303,16 @@ class Sim:
         for i, (src, dst) in enumerate(resolve_flows(config, self.topo)):
             self.flows[i] = FlowRuntime(i, src, dst, config.window, config.delta)
 
-        self._pending_discovery: Dict[Tuple[int, int], int] = {}
+        self._discovering: Set[Tuple[int, int]] = set()
         self._flow_paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._reeval_at: Dict[Tuple[int, int], float] = {}
-        self._route_seq = 0
 
         if seed_link_costs:
             for (u, v), cost_ms in seed_link_costs.items():
                 if u not in self.nodes or v not in self.topo.comm_adjacency.get(u, ()):
                     continue
-                neighbor_record(self.nodes[u].records, v).link_estimator.update(cost_ms)
+                neighbor_record(self.nodes[u].records, v,
+                                config.delta).link_estimator.update(cost_ms)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -397,22 +404,19 @@ class Sim:
         radio.access_pending = True
         self.schedule(at, "TimerFire", radio.node_id, self._try_access, radio)
 
-    def _link_channel(self, u: int, v: int) -> Optional[int]:
-        """Lowest channel both nodes currently have a radio on, or None."""
-        mine = {r.channel for r in self.nodes[u].radios}
-        theirs = {r.channel for r in self.nodes[v].radios}
-        shared = mine & theirs
-        return min(shared) if shared else None
-
     def _enqueue(self, node_id: int, frame: Frame) -> bool:
-        """Queue a frame on the radio that talks to frame.dst; False on drop."""
-        channel = self._link_channel(node_id, frame.dst)
-        if channel is None:
-            return False
-        radio = self._radio_on_channel(node_id, channel)
+        """Queue a frame on the node's radio on the lowest channel it shares
+        with frame.dst; False on drop."""
+        radio = None
+        peers = self.nodes[frame.dst].radios
+        for r in self.nodes[node_id].radios:
+            if radio is None or r.channel < radio.channel:
+                for peer in peers:
+                    if peer.channel == r.channel:
+                        radio = r
+                        break
         if radio is None:
             return False
-        frame.src = node_id
         result = radio.enqueue(frame, self.now)
         if result is EnqueueResult.DROPPED_QUEUE_FULL:
             return False
@@ -498,7 +502,8 @@ class Sim:
             adjust = (self._air(self.config.packet_size_bytes)
                       - self._air(entry.frame.size_bytes)) * 1000.0
             records = self.nodes[tx_radio.node_id].records
-            neighbor_record(records, entry.frame.dst).link_estimator.update(raw + adjust)
+            neighbor_record(records, entry.frame.dst,
+                            self.config.delta).link_estimator.update(raw + adjust)
         tx_radio.backoff.next(BackoffOutcome.SUCCESS, self.rng)
         tx_radio.exchange = None
         self.kick(tx_radio, self.now + DIFS)
@@ -534,50 +539,41 @@ class Sim:
     def _deliver_up(self, node_id: int, frame: Frame):
         if frame.kind is FrameKind.HELLO:
             process_hello(self.nodes[node_id].records, frame.src,
-                          frame.payload, self.now)
+                          frame.payload, self.now, self.config.delta)
             return
         flow = self.flows.get(frame.flow_id)
         if flow is None:
             return
-        if frame.kind is FrameKind.DATA:
-            if node_id == flow.dst:
-                flow.copies_delivered += 1
-                if frame.seq not in flow.delivered_seqs:
-                    flow.delivered_seqs.add(frame.seq)
-                    flow.stats.packets_received_at_gateway += 1
-                    flow.stats.bytes_received += frame.size_bytes
-                    flow.stats.e2e_delays.append((self.now - frame.born) * 1000.0)
-                self._send_transport_ack(flow, frame.seq, node_id)
-            else:
-                self._forward(flow, frame, node_id, toward=flow.dst, is_data=True)
-        elif frame.kind is FrameKind.ACK:
-            if node_id == flow.src:
-                self._transport_ack_received(flow, frame.seq)
-            else:
-                self._forward(flow, frame, node_id, toward=flow.src, is_data=False)
+        if frame.kind is FrameKind.DATA and node_id == flow.dst:
+            flow.copies_delivered += 1
+            if frame.seq not in flow.delivered_seqs:
+                flow.delivered_seqs.add(frame.seq)
+                flow.stats.packets_received_at_gateway += 1
+                flow.stats.bytes_received += frame.size_bytes
+                flow.stats.e2e_delays.append((self.now - frame.born) * 1000.0)
+            self._send(flow, node_id, FrameKind.ACK, frame.seq, self._new_uid(),
+                       self.now, TRANSPORT_ACK_BYTES)
+        elif frame.kind is FrameKind.ACK and node_id == flow.src:
+            self._transport_ack_received(flow, frame.seq)
+        else:
+            self._send(flow, node_id, frame.kind, frame.seq, frame.uid,
+                       frame.born, frame.size_bytes)
 
-    def _forward(self, flow: FlowRuntime, frame: Frame, node_id: int,
-                 toward: int, is_data: bool):
-        next_hop = self._route_next_hop(node_id, toward)
+    def _send(self, flow: FlowRuntime, node_id: int, kind: FrameKind, seq: int,
+              uid: int, born: float, size_bytes: int):
+        """Queue one hop of a flow's data (toward flow.dst) or transport ACK
+        (toward flow.src) at node_id; a data copy that cannot be queued is
+        counted as dropped."""
+        is_data = kind is FrameKind.DATA
+        next_hop = self._route_next_hop(node_id, flow.dst if is_data else flow.src)
         if next_hop is None:
             self.counters["route_misses"] += 1
         elif self._enqueue(node_id, Frame(
-                kind=frame.kind, src=node_id, dst=next_hop,
-                size_bytes=frame.size_bytes, flow_id=frame.flow_id, seq=frame.seq,
-                uid=frame.uid, born=frame.born, payload=frame.payload)):
+                kind=kind, src=node_id, dst=next_hop, size_bytes=size_bytes,
+                flow_id=flow.flow_id, seq=seq, uid=uid, born=born)):
             return
         if is_data:
             flow.stats.drops_queue += 1
-
-    def _send_transport_ack(self, flow: FlowRuntime, seq: int, node_id: int):
-        next_hop = self._route_next_hop(node_id, flow.src)
-        if next_hop is None:
-            self.counters["route_misses"] += 1
-            return
-        ack = Frame(kind=FrameKind.ACK, src=node_id, dst=next_hop,
-                    size_bytes=TRANSPORT_ACK_BYTES, flow_id=flow.flow_id,
-                    seq=seq, uid=self._new_uid(), born=self.now)
-        self._enqueue(node_id, ack)
 
     def _transport_ack_received(self, flow: FlowRuntime, seq: int):
         rec = flow.unacked.pop(seq, None)
@@ -595,8 +591,7 @@ class Sim:
 
     def _fill_window(self, flow: FlowRuntime):
         while len(flow.unacked) < flow.window:
-            next_hop = self._route_next_hop(flow.src, flow.dst)
-            if next_hop is None:
+            if self._route_next_hop(flow.src, flow.dst) is None:
                 flow.blocked = True
                 self._request_discovery(flow.src, flow.dst)
                 return
@@ -605,23 +600,19 @@ class Sim:
             rec = UnackedPacket(seq, self.now, flow.rto)
             flow.unacked[seq] = rec
             flow.stats.packets_sent += 1
-            self._inject_copy(flow, rec, next_hop)
+            self._inject_copy(flow, rec)
             self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
-                          self._rto_expiry, flow, seq, rec.generation)
+                          self._rto_expiry, flow, seq, rec.retx)
 
-    def _inject_copy(self, flow: FlowRuntime, rec: UnackedPacket, next_hop: int):
+    def _inject_copy(self, flow: FlowRuntime, rec: UnackedPacket):
         rec.copies += 1
-        frame = Frame(kind=FrameKind.DATA, src=flow.src, dst=next_hop,
-                      size_bytes=self.config.packet_size_bytes,
-                      flow_id=flow.flow_id, seq=rec.seq, uid=self._new_uid(),
-                      born=rec.first_send)
         flow.copies_injected += 1
-        if not self._enqueue(flow.src, frame):
-            flow.stats.drops_queue += 1
+        self._send(flow, flow.src, FrameKind.DATA, rec.seq, self._new_uid(),
+                   rec.first_send, self.config.packet_size_bytes)
 
-    def _rto_expiry(self, flow: FlowRuntime, seq: int, generation: int):
+    def _rto_expiry(self, flow: FlowRuntime, seq: int, retx: int):
         rec = flow.unacked.get(seq)
-        if rec is None or rec.generation != generation:
+        if rec is None or rec.retx != retx:
             return
         rec.retx += 1
         if rec.retx > TRANSPORT_RETRY_LIMIT:
@@ -631,14 +622,12 @@ class Sim:
             self._fill_window(flow)
             return
         rec.rto = min(rec.rto * 2.0, RTO_MAX_S)
-        rec.generation += 1
-        next_hop = self._route_next_hop(flow.src, flow.dst)
-        if next_hop is not None:
-            self._inject_copy(flow, rec, next_hop)
+        if self._route_next_hop(flow.src, flow.dst) is not None:
+            self._inject_copy(flow, rec)
         else:
             self._request_discovery(flow.src, flow.dst)
         self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
-                      self._rto_expiry, flow, seq, rec.generation)
+                      self._rto_expiry, flow, seq, rec.retx)
 
     # -- routing ------------------------------------------------------------
 
@@ -657,59 +646,70 @@ class Sim:
             return math.inf
         return rec.link_estimator.average_rtt
 
-    def _request_discovery(self, src: int, dst: int):
-        key = (src, dst)
-        if key in self._pending_discovery:
-            return
-        self._pending_discovery[key] = 0
-        self._attempt_discovery(src, dst)
+    def _path_cost(self, path) -> float:
+        return sum(self._measured_cost(u, v) for u, v in zip(path, path[1:]))
 
-    def _attempt_discovery(self, src: int, dst: int):
-        key = (src, dst)
-        self._pending_discovery[key] = self._pending_discovery.get(key, 0) + 1
+    def _measured_sum(self, links) -> float:
+        """Measured cost of the (u, v) links summed in the given order,
+        leaving out links with no usable measurement."""
+        return sum(c for c in (self._measured_cost(u, v) for u, v in links)
+                   if not math.isinf(c))
+
+    def _best_path(self, src: int, dst: int) -> Optional[List[int]]:
+        """The path this phase's metric picks: least measured RTT under
+        AVG_RTT, falling back to fewest hops when no path has every link
+        measured; None when no path exists."""
         adjacency = self.topo.comm_adjacency
-        path = None
         try:
             if self.metric is RouteMetric.AVG_RTT:
                 try:
-                    path = aodv_discover(adjacency, src, dst, RouteMetric.AVG_RTT,
+                    return aodv_discover(adjacency, src, dst, RouteMetric.AVG_RTT,
                                          link_cost=self._measured_cost)
                 except NoRouteError:
-                    path = aodv_discover(adjacency, src, dst, RouteMetric.HOP_COUNT)
-            else:
-                path = aodv_discover(adjacency, src, dst, RouteMetric.HOP_COUNT)
+                    pass
+            return aodv_discover(adjacency, src, dst, RouteMetric.HOP_COUNT)
         except NoRouteError:
-            if self._pending_discovery[key] < DISCOVERY_ATTEMPTS:
-                self.schedule(self.now + DISCOVERY_TIMEOUT, "TimerFire", src,
-                              self._attempt_discovery, src, dst)
-            else:
-                del self._pending_discovery[key]
-            return
+            return None
+
+    def _request_discovery(self, src: int, dst: int):
+        if (src, dst) not in self._discovering:
+            self._attempt_discovery(src, dst, 1)
+
+    def _attempt_discovery(self, src: int, dst: int, attempt: int):
+        path = self._best_path(src, dst)
+        if path is not None:
+            self._install_after_reply(src, dst, path)
+        elif attempt < DISCOVERY_ATTEMPTS:
+            self._discovering.add((src, dst))
+            self.schedule(self.now + DISCOVERY_TIMEOUT, "TimerFire", src,
+                          self._attempt_discovery, src, dst, attempt + 1)
+        else:
+            self._discovering.discard((src, dst))
+
+    def _install_after_reply(self, src: int, dst: int, path: List[int]):
+        """Install path once the route reply has crossed it back; the pair
+        stays under discovery until then."""
+        self._discovering.add((src, dst))
         latency = 2 * (len(path) - 1) * CONTROL_HOP_LATENCY_S
         self.schedule(self.now + latency, "TimerFire", src,
                       self._install_route, src, dst, tuple(path))
 
     def _install_route(self, src: int, dst: int, path: Tuple[int, ...]):
-        self._pending_discovery.pop((src, dst), None)
-        self._route_seq += 1
+        self._discovering.discard((src, dst))
         expiry = self.now + ROUTE_LIFETIME
         total = len(path) - 1
         for i, node_id in enumerate(path):
             table = self.nodes[node_id].route_table
             if i < total:
-                cost = sum(c for c in (self._measured_cost(path[j], path[j + 1])
-                                       for j in range(i, total))
-                           if not math.isinf(c))
-                table.install(RouteEntry(destination=dst, next_hop=path[i + 1],
-                                         hop_count=total - i, rtt_cost=cost,
-                                         seq_no=self._route_seq, expires_at=expiry))
+                table.install(RouteEntry(
+                    destination=dst, next_hop=path[i + 1], hop_count=total - i,
+                    rtt_cost=self._measured_sum(zip(path[i:], path[i + 1:])),
+                    expires_at=expiry))
             if i > 0:
-                cost = sum(c for c in (self._measured_cost(path[j + 1], path[j])
-                                       for j in range(0, i))
-                           if not math.isinf(c))
-                table.install(RouteEntry(destination=src, next_hop=path[i - 1],
-                                         hop_count=i, rtt_cost=cost,
-                                         seq_no=self._route_seq, expires_at=expiry))
+                table.install(RouteEntry(
+                    destination=src, next_hop=path[i - 1], hop_count=i,
+                    rtt_cost=self._measured_sum(zip(path[1:i + 1], path[:i])),
+                    expires_at=expiry))
         self._flow_paths[(src, dst)] = path
         matched = False
         for fid in sorted(self.flows):
@@ -735,28 +735,18 @@ class Sim:
         self.schedule(when, "TimerFire", src, self._route_reeval, src, dst)
 
     def _route_reeval(self, src: int, dst: int):
-        if (src, dst) in self._pending_discovery:
+        if (src, dst) in self._discovering:
             return
         current = self._flow_paths.get((src, dst))
         if current is None \
                 or self.nodes[src].route_table.lookup(dst, self.now) is None:
-            self._attempt_discovery(src, dst)
+            self._attempt_discovery(src, dst, 1)
             return
-        cur_cost = sum(self._measured_cost(u, v)
-                       for u, v in zip(current, current[1:]))
-        best = None
-        try:
-            best = aodv_discover(self.topo.comm_adjacency, src, dst,
-                                 RouteMetric.AVG_RTT,
-                                 link_cost=self._measured_cost)
-        except NoRouteError:
-            pass
-        if best is not None and tuple(best) != current:
-            new_cost = sum(self._measured_cost(u, v)
-                           for u, v in zip(best, best[1:]))
-            if new_cost < cur_cost * REROUTE_GAIN:
-                self._attempt_discovery(src, dst)
-                return
+        best = self._best_path(src, dst)
+        if best is not None and tuple(best) != current \
+                and self._path_cost(best) < self._path_cost(current) * REROUTE_GAIN:
+            self._install_after_reply(src, dst, best)
+            return
         self._schedule_reeval(src, dst)
 
     # -- periodic drivers -----------------------------------------------------
@@ -825,6 +815,9 @@ class Sim:
             self.dispatched += 1
             self._trace(t, label, node)
             fn(*args)
+        # the events left over hold bound methods of this Sim; dropping them
+        # breaks that cycle, so a finished run is freed without the collector
+        self._heap.clear()
         self.now = sim_time
         self._trace(sim_time, "SimEnd", -1)
         self._check_conservation()

@@ -35,21 +35,29 @@ class RunRow:
     cor_report: Optional[CorReport] = None
 
 
-def run_single(config: ScenarioConfig, metric: RouteMetric, label: str,
-               seed_link_costs=None, trace_file=None) -> SimResult:
-    sim = Sim(config, metric, label, seed_link_costs=seed_link_costs,
-              trace_file=trace_file)
-    return sim.run()
+# (CSV column, its value in one row, whether it counts things); the CSV
+# header, each row's cells and the sweep's median rows all follow this table
+NUMERIC_COLUMNS = (
+    ("n_nodes", lambda r: r.result.n_nodes, True),
+    ("n_hops", lambda r: r.result.n_hops, True),
+    ("throughput_kbps", lambda r: r.result.summary.throughput_kbps, False),
+    ("delivery_ratio", lambda r: r.result.summary.delivery_ratio, False),
+    ("mean_delay_ms", lambda r: r.result.summary.mean_e2e_delay_ms, False),
+    ("mean_rtt_ms", lambda r: r.result.summary.mean_rtt_ms, False),
+    ("cor", lambda r: None if r.cor_report is None else r.cor_report.cor, False),
+)
 
 
 def corciar_run(config: ScenarioConfig,
                 trace_file=None) -> Tuple[SimResult, SimResult, CorReport]:
-    """Measurement pass by hop count, then the rerouted pass, then the ratio."""
-    baseline = run_single(config, RouteMetric.HOP_COUNT, "aodv_hop",
-                          trace_file=trace_file)
-    rerouted = run_single(config, RouteMetric.AVG_RTT, "corciar",
-                          seed_link_costs=baseline.link_costs,
-                          trace_file=trace_file)
+    """Measurement pass by hop count, then the rerouted pass on the same
+    topology, then the ratio."""
+    sim = Sim(config, RouteMetric.HOP_COUNT, "aodv_hop", trace_file=trace_file)
+    topology, baseline = sim.topo, sim.run()
+    del sim     # free the finished phase before the next one is built
+    rerouted = Sim(config, RouteMetric.AVG_RTT, "corciar", topology=topology,
+                   seed_link_costs=baseline.link_costs,
+                   trace_file=trace_file).run()
     report = make_cor_report(baseline.summary.throughput_kbps,
                              rerouted.summary.throughput_kbps)
     return baseline, rerouted, report
@@ -59,8 +67,8 @@ def execute(config: ScenarioConfig, trace_file=None) -> List[RunRow]:
     """Run one scenario under its configured protocol selection."""
     scenario = config.topology.label()
     if config.protocol == "aodv_hop":
-        result = run_single(config, RouteMetric.HOP_COUNT, "aodv_hop",
-                            trace_file=trace_file)
+        result = Sim(config, RouteMetric.HOP_COUNT, "aodv_hop",
+                     trace_file=trace_file).run()
         return [RunRow(scenario, config.seed, "aodv_hop", result)]
     if config.protocol == "corciar":
         _, rerouted, report = corciar_run(config, trace_file=trace_file)
@@ -102,22 +110,10 @@ def sweep(base: ScenarioConfig, axis: str, values: Sequence[int],
 
 
 def median_cells(group: List[RunRow]) -> Dict[str, Optional[float]]:
-    """Column-wise medians over a (axis value, protocol) row group."""
-
-    def med(values: List[float]) -> Optional[float]:
-        return statistics.median(values) if values else None
-
+    """Column-wise medians over a (axis value, protocol) row group, None
+    where no row has a value."""
     out: Dict[str, Optional[float]] = {}
-    out["n_nodes"] = med([float(r.result.n_nodes) for r in group])
-    out["n_hops"] = med([float(r.result.n_hops) for r in group
-                         if r.result.n_hops is not None])
-    out["throughput_kbps"] = med([r.result.summary.throughput_kbps for r in group])
-    out["delivery_ratio"] = med([r.result.summary.delivery_ratio for r in group
-                                 if r.result.summary.delivery_ratio is not None])
-    out["mean_delay_ms"] = med([r.result.summary.mean_e2e_delay_ms for r in group
-                                if r.result.summary.mean_e2e_delay_ms is not None])
-    out["mean_rtt_ms"] = med([r.result.summary.mean_rtt_ms for r in group
-                              if r.result.summary.mean_rtt_ms is not None])
-    out["cor"] = med([r.cor_report.cor for r in group
-                      if r.cor_report is not None and r.cor_report.cor is not None])
+    for name, value, _ in NUMERIC_COLUMNS:
+        values = [float(v) for v in map(value, group) if v is not None]
+        out[name] = statistics.median(values) if values else None
     return out

@@ -162,13 +162,11 @@ class BackoffOutcome(enum.Enum):
 class BackoffState:
     cw: int = CW_MIN
     retries: int = 0
-    cw_min: int = CW_MIN
-    cw_max: int = CW_MAX
 
     def reset(self):
         """Back to the minimum window with no retries: after a success, or
         after the head frame is discarded at the retry limit."""
-        self.cw = self.cw_min
+        self.cw = CW_MIN
         self.retries = 0
 
     def next(self, outcome: BackoffOutcome, rng) -> int:
@@ -177,7 +175,7 @@ class BackoffState:
             self.reset()
             return 0
         wait = rng.randint(0, self.cw)
-        self.cw = min(2 * self.cw + 1, self.cw_max)
+        self.cw = min(2 * self.cw + 1, CW_MAX)
         self.retries += 1
         return wait
 
@@ -198,13 +196,12 @@ class QueuedFrame:
 class MacRadioState:
     """One radio: a channel, a bounded FIFO, and its backoff state."""
 
-    def __init__(self, channel: int, capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 backoff: Optional[BackoffState] = None):
+    def __init__(self, channel: int, capacity: int = DEFAULT_QUEUE_CAPACITY):
         validate_channel(channel)
         self.channel = channel
         self.capacity = capacity
         self.queue = deque()
-        self.backoff = backoff or BackoffState()
+        self.backoff = BackoffState()
         self._last_time = 0.0
 
     def _check_clock(self, now: float):

@@ -8,6 +8,11 @@ The engine forwards every packet, gateway-bound or not, on routes that
 (`cumulative_rtt`) is only advertised in its hellos.  The potential field
 (`converge_potentials`, `next_hop_select`) states the loop-free fixed point
 those advertisements converge to; no forwarding decision reads it.
+
+Route lifecycle, as the engine drives it: discover (up to DISCOVERY_ATTEMPTS
+tries, DISCOVERY_TIMEOUT apart), install along the found path with
+ROUTE_LIFETIME refreshed on use, re-evaluate every 5 s under the RTT metric,
+and switch when another path is at least 20% cheaper.
 """
 
 from __future__ import annotations
@@ -85,29 +90,34 @@ class NeighborRecord:
     advertised_cum_rtt: float = math.inf
     link_estimator: RttEstimator = field(default_factory=RttEstimator)
 
-    def is_active(self, now: float, timeout: float = HELLO_TIMEOUT) -> bool:
-        return now - self.last_hello_at <= timeout
+    def is_active(self, now: float) -> bool:
+        return now - self.last_hello_at <= HELLO_TIMEOUT
 
 
-def neighbor_record(records: Dict[int, NeighborRecord], neighbor: int) -> NeighborRecord:
+def neighbor_record(records: Dict[int, NeighborRecord], neighbor: int,
+                    delta: float) -> NeighborRecord:
     """The record kept for one neighbor, created on first use as never heard
-    from, so it stays inactive until a hello arrives."""
+    from, so it stays inactive until a hello arrives; its link estimator
+    smooths with weight delta."""
     rec = records.get(neighbor)
     if rec is None:
-        rec = records[neighbor] = NeighborRecord(neighbor=neighbor, last_hello_at=-1e9)
+        rec = records[neighbor] = NeighborRecord(
+            neighbor=neighbor, last_hello_at=-1e9,
+            link_estimator=RttEstimator(delta=delta))
     return rec
 
 
 def process_hello(records: Dict[int, NeighborRecord], sender: int,
-                  advertised_cum_rtt: float, now: float) -> NeighborRecord:
-    rec = neighbor_record(records, sender)
+                  advertised_cum_rtt: float, now: float,
+                  delta: float) -> NeighborRecord:
+    rec = neighbor_record(records, sender, delta)
     rec.last_hello_at = now
     rec.advertised_cum_rtt = advertised_cum_rtt
     return rec
 
 
 def cumulative_rtt(node: int, neighbors: Iterable[NeighborRecord], gateway: int,
-                   now: float, hello_timeout: float = HELLO_TIMEOUT) -> float:
+                   now: float) -> float:
     """Minimum summed link RTT from this node to the gateway, in ms.
 
     Computed from what active neighbors advertise plus the measured link to
@@ -119,7 +129,7 @@ def cumulative_rtt(node: int, neighbors: Iterable[NeighborRecord], gateway: int,
         return 0.0
     best = math.inf
     for rec in neighbors:
-        if not rec.is_active(now, hello_timeout):
+        if not rec.is_active(now):
             continue
         if not rec.link_estimator.seeded or math.isinf(rec.advertised_cum_rtt):
             continue
@@ -228,7 +238,6 @@ class RouteEntry:
     next_hop: int
     hop_count: int
     rtt_cost: float
-    seq_no: int
     expires_at: float
 
     def __post_init__(self):
@@ -256,10 +265,10 @@ class RouteTable:
             return None
         return entry
 
-    def refresh(self, destination: int, now: float, lifetime: float = ROUTE_LIFETIME):
+    def refresh(self, destination: int, now: float):
         entry = self._entries.get(destination)
         if entry is not None and now < entry.expires_at:
-            entry.expires_at = now + lifetime
+            entry.expires_at = now + ROUTE_LIFETIME
 
     def rows(self) -> List[RouteEntry]:
         return [self._entries[d] for d in sorted(self._entries)]

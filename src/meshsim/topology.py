@@ -41,18 +41,17 @@ class Node:
 
 class Topology:
     def __init__(self, nodes: List[Node], gateway: int,
-                 width: float = AREA_WIDTH_M, height: float = AREA_HEIGHT_M):
+                 width: float = AREA_WIDTH_M):
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
         self.gateway = gateway
         self.width = width
-        self.height = height
         self.by_id: Dict[int, Node] = {n.node_id: n for n in self.nodes}
         if gateway not in self.by_id:
             raise BuildError(f"gateway {gateway} is not a node")
         for n in self.nodes:
-            if not (0.0 <= n.x <= width and 0.0 <= n.y <= height):
+            if not (0.0 <= n.x <= width and 0.0 <= n.y <= AREA_HEIGHT_M):
                 raise BuildError(f"node {n.node_id} at ({n.x}, {n.y}) outside "
-                                 f"{width} x {height} area")
+                                 f"{width} x {AREA_HEIGHT_M} area")
         self._dist: Dict[Tuple[int, int], float] = {}
         self.comm_adjacency: Dict[int, Set[int]] = {n.node_id: set() for n in self.nodes}
         # everyone whose transmissions can matter at this node; the pair loop

@@ -8,8 +8,10 @@ line.  A change that alters any simulated output shows up as a changed line;
 regenerate only when such a change is intended, and name each changed cell
 (the script prints the cells whose lines differ from the stored file).
 
-Each line is `<cell> trace=<sha256 of the phase's trace lines> <csv row>`,
-with `-` for a phase that emits no row.
+Each cell has one line per phase, `<cell> trace=<sha256 of the phase's trace
+lines> <csv row>` with `-` for a phase that emits no row, then one line
+`<cell> routes=<sha256 of the --dump-routes file>`: route costs and hop
+counts reach no other output.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from meshsim import cli  # noqa: E402
 # (cell name, scenario text).  Short runs keep the whole matrix near 10 s
 # while covering every topology kind, channel plan, handshake mode, traffic
 # class and protocol selection, a jammer, long airtime and a cor > 1 cell,
-# plus the edge cases of one radio per node and an always-on jammer.
+# plus the edge cases of one radio per node, an always-on jammer and a flow
+# whose destination no path reaches (every discovery attempt fails).
 CELLS = (
     ("chain4-orthogonal", "topology = chain(4)\nsim_time_s = 5\nseed = 1\n"),
     ("chain5-overlapping-literal-dt",
@@ -60,14 +63,18 @@ CELLS = (
      "topology = chain(4)\nchannel_plan = overlapping\njammer_channel = 3\n"
      "jammer_x = 225\njammer_y = 0\njammer_on_s = 1000\njammer_off_s = 0.01\n"
      "sim_time_s = 6\nseed = 3\n"),
+    ("mesh8-unreachable-flow",
+     "topology = mesh8\nflows = 5>4, 5>1\nsim_time_s = 10\nseed = 2\n"),
 )
 
 
 def cell_lines(name: str, text: str, work_dir: Path):
-    """One golden line per phase of one cell, from `meshsim run`."""
-    cfg, out, trace = (work_dir / f"{name}.{ext}" for ext in ("cfg", "csv", "trace"))
+    """The golden lines of one cell, from `meshsim run`."""
+    cfg, out, trace, routes = (work_dir / f"{name}.{ext}"
+                               for ext in ("cfg", "csv", "trace", "routes"))
     cfg.write_text(text, encoding="utf-8")
-    status = cli.main(["run", str(cfg), "--out", str(out), "--trace", str(trace)])
+    status = cli.main(["run", str(cfg), "--out", str(out), "--trace", str(trace),
+                       "--dump-routes", str(routes)])
     if status != 0:
         raise RuntimeError(f"cell {name} exited {status}")
     hashes, phase = [], hashlib.sha256()
@@ -81,7 +88,9 @@ def cell_lines(name: str, text: str, work_dir: Path):
         raise RuntimeError(f"cell {name}: {len(rows)} rows but {len(hashes)} phases")
     # `protocol = corciar` emits no row for its hop-count measurement pass
     rows = ["-"] * (len(hashes) - len(rows)) + rows
-    return [f"{name} trace={h} {row}" for h, row in zip(hashes, rows)]
+    routes_hash = hashlib.sha256(routes.read_bytes()).hexdigest()
+    return [f"{name} trace={h} {row}" for h, row in zip(hashes, rows)] \
+        + [f"{name} routes={routes_hash}"]
 
 
 def golden_lines():

@@ -1,6 +1,8 @@
 """Command line contract: CSV shapes, exit codes, byte stability, and the
 channel decision tables."""
 
+from pathlib import Path
+
 import pytest
 
 from meshsim import cli
@@ -35,6 +37,12 @@ def test_run_emits_both_protocol_rows(tmp_path, capsys):
                                               "Inelastic", "Regression")
     float(first[5])    # throughput parses
     assert second[9] != ""
+
+
+def test_readme_csv_columns_match_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("CSV columns:\n\n```\n") + len("CSV columns:\n\n```\n")
+    assert readme[start:readme.index("\n", start)] == cli.CSV_HEADER
 
 
 def test_run_seed_flag_overrides_config(tmp_path, capsys):

@@ -1,16 +1,18 @@
 """Event-loop behavior: delivery, determinism, interference accounting,
 conservation, and the two-phase rerouting experiment."""
 
+import gc
 import io
 import math
 import time
+import weakref
 
 import pytest
 
 from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec
 from meshsim.engine import FLOW_START_S, Sim
-from meshsim.experiment import corciar_run
+from meshsim.experiment import corciar_run, execute
 from meshsim.mac import SimulationFault
 from meshsim.metrics import CollisionClass
 from meshsim.routing import RouteMetric
@@ -95,6 +97,42 @@ def test_scheduling_into_the_past_faults():
     sim.now = 5.0
     with pytest.raises(SimulationFault):
         sim.schedule(4.0, "TimerFire", 0, lambda: None)
+
+
+def test_link_estimators_smooth_with_the_configured_delta():
+    cfg = chain_cfg(4, delta=0.5)
+    sim = Sim(cfg, RouteMetric.HOP_COUNT, "aodv_hop")
+    sim.run()
+    estimators = [rec.link_estimator for node in sim.nodes.values()
+                  for rec in node.records.values()]
+    assert len(estimators) == 6 and all(e.seeded for e in estimators)
+    assert {e.delta for e in estimators} == {0.5}
+    seeded = Sim(cfg, RouteMetric.AVG_RTT, "corciar", seed_link_costs={(0, 1): 5.0})
+    assert seeded.nodes[0].records[1].link_estimator.delta == 0.5
+
+
+def test_finished_phases_are_freed_without_the_collector(monkeypatch):
+    """Each phase's Sim is freed as soon as it is done: the hop-count one
+    before the corciar one is built, and both before execute returns."""
+    refs, alive_at_build = [], []
+    init = Sim.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        alive_at_build.append([ref() is not None for ref in refs])
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(Sim, "__init__", tracked_init)
+    gc.collect()
+    gc.disable()
+    try:
+        rows = execute(chain_cfg(3, sim_time_s=4.0))
+        alive_after = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert [row.protocol for row in rows] == ["aodv_hop", "corciar"]
+    assert alive_at_build == [[], [False]]
+    assert alive_after == [False, False]
 
 
 def test_trace_stream_is_ordered():

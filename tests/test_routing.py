@@ -273,22 +273,24 @@ def test_discover_error_cases():
 
 def test_hello_processing_creates_updates_expires():
     records = {}
-    rec = process_hello(records, sender=4, advertised_cum_rtt=42.0, now=1.0)
+    rec = process_hello(records, sender=4, advertised_cum_rtt=42.0, now=1.0,
+                        delta=0.25)
     assert rec.neighbor == 4 and rec.advertised_cum_rtt == 42.0
-    process_hello(records, sender=4, advertised_cum_rtt=37.5, now=2.0)
+    assert rec.link_estimator.delta == 0.25
+    process_hello(records, sender=4, advertised_cum_rtt=37.5, now=2.0, delta=0.25)
     assert records[4].last_hello_at == 2.0 and records[4].advertised_cum_rtt == 37.5
     assert records[4].is_active(5.0)        # exactly three intervals: still alive
     assert not records[4].is_active(5.01)   # past three missed hellos
-    process_hello(records, sender=9, advertised_cum_rtt=5.0, now=5.0)
+    process_hello(records, sender=9, advertised_cum_rtt=5.0, now=5.0, delta=0.25)
     assert sorted(v for v, r in records.items() if r.is_active(5.01)) == [9]
 
 
 def test_route_entries_expire_and_refresh():
     table = RouteTable()
     table.install(RouteEntry(destination=0, next_hop=3, hop_count=2,
-                             rtt_cost=25.0, seq_no=1, expires_at=10.0))
+                             rtt_cost=25.0, expires_at=10.0))
     assert table.lookup(0, now=9.99).next_hop == 3
-    table.refresh(0, now=9.0, lifetime=10.0)
+    table.refresh(0, now=9.0)
     assert table.lookup(0, now=15.0).expires_at == 19.0
     assert table.lookup(0, now=19.0) is None       # expired entries never forward
     assert table.lookup(0, now=5.0) is None        # and are purged outright
@@ -297,7 +299,7 @@ def test_route_entries_expire_and_refresh():
 def test_route_entry_validation():
     with pytest.raises(ValueError):
         RouteEntry(destination=0, next_hop=1, hop_count=0, rtt_cost=1.0,
-                   seq_no=1, expires_at=1.0)
+                   expires_at=1.0)
     with pytest.raises(ValueError):
         RouteEntry(destination=0, next_hop=1, hop_count=1, rtt_cost=-1.0,
-                   seq_no=1, expires_at=1.0)
+                   expires_at=1.0)
