@@ -9,6 +9,7 @@ standard error so the data stream stays clean.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional, Sequence
 
@@ -61,9 +62,16 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> ScenarioConfig:
             text = fh.read()
     config = parse_config(text)
     if seed is not None:
-        import dataclasses
         config = dataclasses.replace(config, seed=seed)
     return config
+
+
+def _config_error(exc: Exception) -> int:
+    """Report a configuration problem on standard error: each message of a
+    ConfigError, the exception's text otherwise.  Returns exit code 1."""
+    for message in exc.errors if isinstance(exc, ConfigError) else [exc]:
+        print(f"config error: {message}", file=sys.stderr)
+    return 1
 
 
 def _parse_seeds(text: str) -> List[int]:
@@ -82,13 +90,8 @@ def cmd_run(args) -> int:
     config_path = args.config_flag or args.config
     try:
         config = _load_config(config_path, args.seed)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except (ConfigError, OSError) as exc:
+        return _config_error(exc)
 
     trace_file = None
     try:
@@ -97,8 +100,7 @@ def cmd_run(args) -> int:
         try:
             rows = execute(config, trace_file=trace_file)
         except BuildError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+            return _config_error(exc)
         except SimulationFault as exc:
             print(f"runtime fault: {exc}", file=sys.stderr)
             return 2
@@ -131,12 +133,7 @@ def cmd_sweep(args) -> int:
         axis = "hops" if args.hops else "nodes"
         values = _parse_int_list(args.hops or args.nodes)
     except (ConfigError, ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            for err in exc.errors:
-                print(f"config error: {err}", file=sys.stderr)
-        else:
-            print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _config_error(exc)
     if not values or not seeds:
         print("sweep needs a nonempty axis and seed list", file=sys.stderr)
         return 1

@@ -29,8 +29,10 @@ resolves a path under the phase's metric, and a search that finds none is
 tried again DISCOVERY_TIMEOUT later, up to DISCOVERY_ATTEMPTS tries.  The
 found path is installed, both ways, in every node along it once the reply
 has crossed it.  Under the RTT metric a flow's route is then re-evaluated
-every ROUTE_REEVAL_S (5 s) and switched when the best path's measured cost
-is under REROUTE_GAIN of the current one's, a gain of at least 20%.
+every ROUTE_REEVAL_S (5 s) by one least-RTT search, and switched when the
+found path's measured cost is under REROUTE_GAIN of the current one's, a
+gain of at least 20%.  Only discovery falls back to hop count: such a path
+has an unmeasured link, costs inf, and could never win a re-evaluation.
 """
 
 from __future__ import annotations
@@ -551,28 +553,28 @@ class Sim:
                 flow.stats.packets_received_at_gateway += 1
                 flow.stats.bytes_received += frame.size_bytes
                 flow.stats.e2e_delays.append((self.now - frame.born) * 1000.0)
-            self._send(flow, node_id, FrameKind.ACK, frame.seq, self._new_uid(),
-                       self.now, TRANSPORT_ACK_BYTES)
+            self._send(flow, node_id, self._route_next_hop(node_id, flow.src),
+                       FrameKind.ACK, frame.seq, self._new_uid(), self.now,
+                       TRANSPORT_ACK_BYTES)
         elif frame.kind is FrameKind.ACK and node_id == flow.src:
             self._transport_ack_received(flow, frame.seq)
         else:
-            self._send(flow, node_id, frame.kind, frame.seq, frame.uid,
-                       frame.born, frame.size_bytes)
+            toward = flow.dst if frame.kind is FrameKind.DATA else flow.src
+            self._send(flow, node_id, self._route_next_hop(node_id, toward),
+                       frame.kind, frame.seq, frame.uid, frame.born, frame.size_bytes)
 
-    def _send(self, flow: FlowRuntime, node_id: int, kind: FrameKind, seq: int,
-              uid: int, born: float, size_bytes: int):
-        """Queue one hop of a flow's data (toward flow.dst) or transport ACK
-        (toward flow.src) at node_id; a data copy that cannot be queued is
-        counted as dropped."""
-        is_data = kind is FrameKind.DATA
-        next_hop = self._route_next_hop(node_id, flow.dst if is_data else flow.src)
+    def _send(self, flow: FlowRuntime, node_id: int, next_hop: Optional[int],
+              kind: FrameKind, seq: int, uid: int, born: float, size_bytes: int):
+        """Queue one hop of a flow's data or transport ACK at node_id toward
+        next_hop, which the caller looked up: None is a route miss.  A data
+        copy that cannot be queued is counted as dropped."""
         if next_hop is None:
             self.counters["route_misses"] += 1
         elif self._enqueue(node_id, Frame(
                 kind=kind, src=node_id, dst=next_hop, size_bytes=size_bytes,
                 flow_id=flow.flow_id, seq=seq, uid=uid, born=born)):
             return
-        if is_data:
+        if kind is FrameKind.DATA:
             flow.stats.drops_queue += 1
 
     def _transport_ack_received(self, flow: FlowRuntime, seq: int):
@@ -591,7 +593,8 @@ class Sim:
 
     def _fill_window(self, flow: FlowRuntime):
         while len(flow.unacked) < flow.window:
-            if self._route_next_hop(flow.src, flow.dst) is None:
+            next_hop = self._route_next_hop(flow.src, flow.dst)
+            if next_hop is None:
                 flow.blocked = True
                 self._request_discovery(flow.src, flow.dst)
                 return
@@ -600,15 +603,15 @@ class Sim:
             rec = UnackedPacket(seq, self.now, flow.rto)
             flow.unacked[seq] = rec
             flow.stats.packets_sent += 1
-            self._inject_copy(flow, rec)
+            self._inject_copy(flow, rec, next_hop)
             self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
                           self._rto_expiry, flow, seq, rec.retx)
 
-    def _inject_copy(self, flow: FlowRuntime, rec: UnackedPacket):
+    def _inject_copy(self, flow: FlowRuntime, rec: UnackedPacket, next_hop: int):
         rec.copies += 1
         flow.copies_injected += 1
-        self._send(flow, flow.src, FrameKind.DATA, rec.seq, self._new_uid(),
-                   rec.first_send, self.config.packet_size_bytes)
+        self._send(flow, flow.src, next_hop, FrameKind.DATA, rec.seq,
+                   self._new_uid(), rec.first_send, self.config.packet_size_bytes)
 
     def _rto_expiry(self, flow: FlowRuntime, seq: int, retx: int):
         rec = flow.unacked.get(seq)
@@ -622,8 +625,9 @@ class Sim:
             self._fill_window(flow)
             return
         rec.rto = min(rec.rto * 2.0, RTO_MAX_S)
-        if self._route_next_hop(flow.src, flow.dst) is not None:
-            self._inject_copy(flow, rec)
+        next_hop = self._route_next_hop(flow.src, flow.dst)
+        if next_hop is not None:
+            self._inject_copy(flow, rec, next_hop)
         else:
             self._request_discovery(flow.src, flow.dst)
         self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
@@ -655,21 +659,21 @@ class Sim:
         return sum(c for c in (self._measured_cost(u, v) for u, v in links)
                    if not math.isinf(c))
 
-    def _best_path(self, src: int, dst: int) -> Optional[List[int]]:
-        """The path this phase's metric picks: least measured RTT under
-        AVG_RTT, falling back to fewest hops when no path has every link
-        measured; None when no path exists."""
-        adjacency = self.topo.comm_adjacency
+    def _search(self, src: int, dst: int, metric: RouteMetric) -> Optional[List[int]]:
+        """The least-cost path under metric; None when there is none, which
+        under AVG_RTT means every path has a link with no usable measurement."""
         try:
-            if self.metric is RouteMetric.AVG_RTT:
-                try:
-                    return aodv_discover(adjacency, src, dst, RouteMetric.AVG_RTT,
-                                         link_cost=self._measured_cost)
-                except NoRouteError:
-                    pass
-            return aodv_discover(adjacency, src, dst, RouteMetric.HOP_COUNT)
+            return aodv_discover(self.topo.comm_adjacency, src, dst, metric,
+                                 link_cost=self._measured_cost)
         except NoRouteError:
             return None
+
+    def _best_path(self, src: int, dst: int) -> Optional[List[int]]:
+        """Discovery's path: least measured RTT under AVG_RTT, else fewest
+        hops (when no path has every link measured); None when none exists."""
+        path = self._search(src, dst, RouteMetric.AVG_RTT) \
+            if self.metric is RouteMetric.AVG_RTT else None
+        return path or self._search(src, dst, RouteMetric.HOP_COUNT)
 
     def _request_discovery(self, src: int, dst: int):
         if (src, dst) not in self._discovering:
@@ -742,7 +746,7 @@ class Sim:
                 or self.nodes[src].route_table.lookup(dst, self.now) is None:
             self._attempt_discovery(src, dst, 1)
             return
-        best = self._best_path(src, dst)
+        best = self._search(src, dst, RouteMetric.AVG_RTT)
         if best is not None and tuple(best) != current \
                 and self._path_cost(best) < self._path_cost(current) * REROUTE_GAIN:
             self._install_after_reply(src, dst, best)

@@ -234,6 +234,3 @@ class MacRadioState:
         if self.queue:
             self.queue[0].ts.mark_head(now)
         return entry
-
-    def __len__(self):
-        return len(self.queue)

@@ -1,6 +1,9 @@
 """Topology construction: node placement, per-radio channel assignment, and
 the derived communication graph (in range and sharing a channel).
 
+The engine reads only a Topology's two neighbour tables (communication
+adjacency, interference candidates); distances are computed on demand.
+
 Named channel plans are per-link cycles for chains and per-node cycles for
 random layouts; with two radios and a three-channel cycle every node pair
 shares at least one channel, so reachability reduces to geometry.
@@ -52,7 +55,6 @@ class Topology:
             if not (0.0 <= n.x <= width and 0.0 <= n.y <= AREA_HEIGHT_M):
                 raise BuildError(f"node {n.node_id} at ({n.x}, {n.y}) outside "
                                  f"{width} x {AREA_HEIGHT_M} area")
-        self._dist: Dict[Tuple[int, int], float] = {}
         self.comm_adjacency: Dict[int, Set[int]] = {n.node_id: set() for n in self.nodes}
         # everyone whose transmissions can matter at this node; the pair loop
         # below visits nodes in id order, so each list comes out sorted
@@ -62,8 +64,6 @@ class Topology:
             for b in self.nodes[i + 1:]:
                 u, v = a.node_id, b.node_id
                 d = math.hypot(a.x - b.x, a.y - b.y)
-                self._dist[(u, v)] = d
-                self._dist[(v, u)] = d
                 if d <= TX_RANGE_M and self.shared_channels(u, v):
                     self.comm_adjacency[u].add(v)
                     self.comm_adjacency[v].add(u)
@@ -72,7 +72,8 @@ class Topology:
                     self.interference_candidates[v].append(u)
 
     def distance(self, u: int, v: int) -> float:
-        return 0.0 if u == v else self._dist[(u, v)]
+        a, b = self.by_id[u], self.by_id[v]
+        return math.hypot(a.x - b.x, a.y - b.y)
 
     def shared_channels(self, u: int, v: int) -> List[int]:
         return sorted(set(self.by_id[u].channels) & set(self.by_id[v].channels))

@@ -9,13 +9,14 @@ import weakref
 
 import pytest
 
+from meshsim import engine
 from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec
 from meshsim.engine import FLOW_START_S, Sim
 from meshsim.experiment import corciar_run, execute
 from meshsim.mac import SimulationFault
 from meshsim.metrics import CollisionClass
-from meshsim.routing import RouteMetric
+from meshsim.routing import RouteMetric, RouteTable
 from meshsim.topology import INTERFERENCE_RANGE_M
 
 
@@ -97,6 +98,49 @@ def test_scheduling_into_the_past_faults():
     sim.now = 5.0
     with pytest.raises(SimulationFault):
         sim.schedule(4.0, "TimerFire", 0, lambda: None)
+
+
+def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
+    sim = Sim(chain_cfg(3, window=5), RouteMetric.HOP_COUNT, "aodv_hop")
+    flow = sim.flows[0]
+    sim.now = FLOW_START_S
+    sim._install_route(flow.src, flow.dst, (0, 1, 2))
+    lookups = []
+    lookup = RouteTable.lookup
+
+    def counted(table, destination, now):
+        lookups.append((table, destination))
+        return lookup(table, destination, now)
+
+    monkeypatch.setattr(RouteTable, "lookup", counted)
+    sim._fill_window(flow)
+    assert len(flow.unacked) == 5 and not flow.blocked
+    assert lookups == [(sim.nodes[flow.src].route_table, flow.dst)] * 5
+    queued = [e.frame for r in sim.nodes[flow.src].radios for e in r.queue]
+    assert [(f.seq, f.dst) for f in queued] == [(seq, 1) for seq in range(5)]
+
+
+def test_reevaluation_runs_one_search(monkeypatch):
+    """With no link measured, the least-RTT search finds nothing; the
+    hop-count path could not pass the 20% test, so only discovery runs it."""
+    sim = Sim(chain_cfg(3), RouteMetric.AVG_RTT, "corciar")
+    flow = sim.flows[0]
+    sim._install_route(flow.src, flow.dst, (0, 1, 2))
+    searches = []
+    discover = engine.aodv_discover
+
+    def counted(adjacency, src, dst, metric, **kwargs):
+        searches.append(metric)
+        return discover(adjacency, src, dst, metric, **kwargs)
+
+    monkeypatch.setattr(engine, "aodv_discover", counted)
+    sim._route_reeval(flow.src, flow.dst)
+    assert searches == [RouteMetric.AVG_RTT]
+    assert sim._flow_paths[(flow.src, flow.dst)] == (0, 1, 2)
+    assert not sim._discovering
+    searches.clear()
+    assert sim._best_path(flow.src, flow.dst) == [0, 1, 2]
+    assert searches == [RouteMetric.AVG_RTT, RouteMetric.HOP_COUNT]
 
 
 def test_link_estimators_smooth_with_the_configured_delta():

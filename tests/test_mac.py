@@ -204,7 +204,7 @@ def test_queue_capacity_drops_excess():
     for i in range(50):
         assert radio.enqueue(_frame(i), float(i)) is EnqueueResult.ACCEPTED
     assert radio.enqueue(_frame(50), 50.0) is EnqueueResult.DROPPED_QUEUE_FULL
-    assert len(radio) == 50
+    assert len(radio.queue) == 50
 
 
 def test_pop_head_promotes_successor():
