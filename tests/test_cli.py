@@ -1,12 +1,17 @@
 """Command line contract: CSV shapes, exit codes, byte stability, and the
 channel decision tables."""
 
+import hashlib
+import os
+import pickle
+import signal
 from pathlib import Path
 
 import pytest
 
-from meshsim import cli
-from meshsim.config import ScenarioConfig, TopologySpec
+from meshsim import cli, experiment
+from meshsim.config import ScenarioConfig, TopologySpec, parse_config
+from meshsim.engine import Sim
 from meshsim.experiment import config_for_axis, median_cells, sweep
 from meshsim.mac import SimulationFault
 
@@ -200,13 +205,126 @@ def test_axis_config_mapping():
         config_for_axis(base, "radios", 2, 1)
 
 
-def test_sweep_skips_failed_cells():
+def cpus(monkeypatch, n):
+    """Make the sweep see n CPUs in the affinity mask, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch):
+    """The pids of the workers forked from here on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_skips_failed_cells(monkeypatch):
+    cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    real_run = Sim.run
+
+    def run(self):
+        if self.config.seed == 2 and self.config.topology == TopologySpec("chain", 4):
+            raise SimulationFault("synthetic fault")
+        return real_run(self)
+
+    monkeypatch.setattr(Sim, "run", run)
     base = ScenarioConfig(sim_time_s=2.0, protocol="aodv_hop")
-    rows, failures = sweep(base, "hops", [1, 2], [1])
-    # chain(2) cannot be built: hop value 1 maps to a 2-node chain, hop
-    # value 0 would be invalid; use an impossible value instead
-    assert not failures or all("hops=" in f for f in failures)
-    assert any(v == 2 for v, _ in rows)
+    rows, failures = sweep(base, "hops", [2, 3], [1, 2, 3])
+    assert len(forks) == 2
+    assert failures == ["hops=3 seed=2: synthetic fault"]
+    assert [(v, row.seed) for v, row in rows] == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3)]
+
+
+# sha256 of the CSV below, as the serial sweep wrote it before cells ran in workers
+IDENTITY_CSV_SHA256 = "54299b75a3224c5baacea3f8f00db9fed58796789f8bf63c26eb1486910c6e4c"
+
+
+def test_forked_sweep_is_identical_to_serial(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "sim_time_s = 4.0\nchannel_plan = overlapping\n")
+    args = ["sweep", "--hops", "2,3", "--seeds", "1..4", "--config", cfg]
+    captured = []
+    real_sweep = cli.sweep
+
+    def capture(*a):
+        captured.append(real_sweep(*a))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "sweep", capture)
+    forks = count_forks(monkeypatch)
+    cpus(monkeypatch, 3)        # 8 cells over 3 workers: 3, 3 and 2 each
+    forked, serial = tmp_path / "forked.csv", tmp_path / "serial.csv"
+    assert cli.main(args + ["--out", str(forked)]) == 0
+    assert len(forks) == 3
+    assert_reaped(forks)
+    cpus(monkeypatch, 1)
+    assert cli.main(args + ["--out", str(serial)]) == 0
+    assert len(forks) == 3
+    assert forked.read_text() == serial.read_text()
+    assert hashlib.sha256(forked.read_bytes()).hexdigest() == IDENTITY_CSV_SHA256
+    (forked_rows, forked_failures), (serial_rows, serial_failures) = captured
+    assert forked_failures == serial_failures == []
+    assert [r.result.trace_hash for _, r in forked_rows] == \
+        [r.result.trace_hash for _, r in serial_rows]
+    base = parse_config(Path(cfg).read_text())
+    direct = [(hops, row) for hops in (2, 3) for seed in range(1, 5)
+              for row in experiment.execute(config_for_axis(base, "hops", hops, seed))]
+    assert forked_rows == direct
+
+
+@pytest.mark.parametrize("die, cause", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+])
+def test_sweep_reports_every_cell_of_a_dead_worker(monkeypatch, die, cause):
+    cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    parent = os.getpid()
+    real_run = Sim.run
+
+    def run(self):
+        if self.config.seed == 2:
+            assert os.getpid() != parent    # never end the test process itself
+            die()
+        return real_run(self)
+
+    monkeypatch.setattr(Sim, "run", run)
+    base = ScenarioConfig(sim_time_s=2.0, protocol="aodv_hop")
+    # worker 0 runs seeds 1 and 3; worker 1 dies on seed 2 before seed 4
+    rows, failures = sweep(base, "hops", [2], [1, 2, 3, 4])
+    assert failures == [f"hops=2 seed=2: sweep worker ended with {cause}",
+                        f"hops=2 seed=4: sweep worker ended with {cause}"]
+    assert [row.seed for _, row in rows] == [1, 3]
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_sweep_reaps_its_workers_when_the_parent_fails(monkeypatch):
+    cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+
+    def fail(data):
+        raise KeyboardInterrupt     # the parent, between reaping two workers
+
+    monkeypatch.setattr(pickle, "loads", fail)
+    base = ScenarioConfig(sim_time_s=2.0, protocol="aodv_hop")
+    with pytest.raises(KeyboardInterrupt):
+        sweep(base, "hops", [2], [1, 2])
+    assert len(forks) == 2
+    assert_reaped(forks)
 
 
 def test_sweep_reports_unbuildable_axis_value():
