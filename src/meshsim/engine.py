@@ -6,12 +6,15 @@ reliable windowed transport that generates RTT-measurable traffic.
 Medium model: a reception is corrupted when a transmission on a conflicting
 channel (interference factor above theta) from a sender within
 INTERFERENCE_RANGE_M of the receiver overlaps any part of its airtime, or
-when the jammer does.  Transmissions are kept per channel; a query scans only
-the conflicting channels' lists and tests the sender against the receiver's
-precomputed hearing set.  Registering a frame drops from the head of its
-channel's list the transmissions that ended more than the largest frame's
-airtime ago: those can no longer overlap any reception still pending, so no
-interferer is lost to a time-horizon shortcut.
+when the jammer does.  In-flight transmissions of every channel are kept in
+one list ordered by end time, beside a list of those end times.  A query
+bisects the end times and visits only the frames that end after the instant
+it asks about (now for carrier sense, the reception's start for corruption),
+testing each one's channel against the receiver's conflicting set and its
+sender against the receiver's precomputed hearing set.  Registering a frame
+drops from the head of the list the transmissions that ended more than the
+largest frame's airtime ago: those can no longer overlap any reception still
+pending, so no interferer is lost to a time-horizon shortcut.
 
 Determinism contract: one seeded generator drives every draw, events
 dispatch in (time, insertion ordinal) order, and all container iteration is
@@ -42,9 +45,9 @@ import hashlib
 import heapq
 import math
 import random
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION, PclTable
 from .config import ScenarioConfig
@@ -105,16 +108,18 @@ ROUTE_REEVAL_S = 5.0
 # re-evaluation switches; near-ties would otherwise flap on sample noise
 REROUTE_GAIN = 0.8
 TIMEOUT_SLACK_S = 2 * SLOT_TIME
+# one line of the event trace: time, label, node; its bytes feed the trace hash
+TRACE_LINE = "%.9f %s n%s\n"
 
 
 @functools.lru_cache(maxsize=None)
-def conflicting_channels(theta: float) -> Tuple[Tuple[int, ...], ...]:
+def conflicting_channels(theta: float) -> Tuple[FrozenSet[int], ...]:
     """conflicting[b]: the channels whose transmissions disturb a radio on
     channel b (symmetric); channels index it directly, so entry 0 is empty
     padding."""
     return tuple(
-        tuple(a for a in ALL_CHANNELS
-              if b > 0 and INTERFERENCE_BY_SEPARATION[abs(a - b)] > theta)
+        frozenset(a for a in ALL_CHANNELS
+                  if b > 0 and INTERFERENCE_BY_SEPARATION[abs(a - b)] > theta)
         for b in range(CHANNEL_MAX + 1))
 
 
@@ -270,6 +275,9 @@ class Sim:
 
         self.conflicting = conflicting_channels(config.theta)
         self.rate = config.data_rate_bps
+        self.rts_air = self._air(RTS_BYTES)
+        self.cts_air = self._air(CTS_BYTES)
+        self.mac_ack_air = self._air(MAC_ACK_BYTES)
         self.rts_decide = rts_handler(config.traffic_class)
         self.rts_mode = config.rts_mode
 
@@ -278,8 +286,10 @@ class Sim:
             n.node_id: NodeState(n.node_id, n.channels, config.queue_capacity, use_pcl)
             for n in self.topo.nodes
         }
-        # in-flight transmissions per channel, in registration order
-        self.on_air: List[Deque[Transmission]] = [deque() for _ in range(CHANNEL_MAX + 1)]
+        # in-flight transmissions of every channel, ordered by t_end, and
+        # their end times, so a query can bisect to the frames still on air
+        self.on_air: List[Transmission] = []
+        self.on_air_ends: List[float] = []
         # every sender whose transmissions reach node u, u itself included
         self.hears: Dict[int, frozenset] = {
             u: frozenset((u, *others))
@@ -341,11 +351,14 @@ class Sim:
 
     def _register_tx(self, sender: int, channel: int, t_start: float, t_end: float) -> Transmission:
         tx = Transmission(sender, channel, t_start, t_end)
-        on_air = self.on_air[channel]
-        cutoff = self.now - self.horizon
-        while on_air and on_air[0].t_end <= cutoff:
-            on_air.popleft()
-        on_air.append(tx)
+        on_air = self.on_air
+        ends = self.on_air_ends
+        expired = bisect_right(ends, self.now - self.horizon)
+        del on_air[:expired]
+        del ends[:expired]
+        at = bisect_right(ends, t_end)
+        on_air.insert(at, tx)
+        ends.insert(at, t_end)
         return tx
 
     def carrier_busy(self, node_id: int, channel: int) -> Tuple[bool, float]:
@@ -354,12 +367,12 @@ class Sim:
         free_at = now
         hears = self.hears[node_id]
         conflicting = self.conflicting[channel]
-        for c in conflicting:
-            for tx in self.on_air[c]:
-                if tx.t_start <= now < tx.t_end and tx.sender in hears:
-                    busy = True
-                    if tx.t_end > free_at:
-                        free_at = tx.t_end
+        # every frame visited ends after now; the list ascends by t_end, so
+        # the last one that disturbs the radio ends last
+        for tx in self.on_air[bisect_right(self.on_air_ends, now):]:
+            if tx.t_start <= now and tx.channel in conflicting and tx.sender in hears:
+                busy = True
+                free_at = tx.t_end
         if node_id in self.jammed and self.jammer.channel in conflicting \
                 and self.jammer.active(now):
             busy = True
@@ -370,21 +383,21 @@ class Sim:
         t0, t1 = subject.t_start, subject.t_end
         hears = self.hears[node_id]
         conflicting = self.conflicting[channel]
-        for c in conflicting:
-            for tx in self.on_air[c]:
-                if tx.t_start < t1 and tx.t_end > t0 and tx.sender in hears \
-                        and tx is not subject:
-                    return True
+        # every frame visited ends after the subject started
+        for tx in self.on_air[bisect_right(self.on_air_ends, t0):]:
+            if tx.t_start < t1 and tx.channel in conflicting and tx.sender in hears \
+                    and tx is not subject:
+                return True
         return node_id in self.jammed and self.jammer.channel in conflicting \
             and self.jammer.overlaps(t0, t1)
 
     def _transmit(self, sender: RadioState, receiver: Optional[RadioState],
-                  start: float, size_bytes: int, on_arrival, *args) -> float:
-        """Put one frame on the air from start; unless receiver is None, it
-        reaches on_arrival(receiver, *args) there if it arrives clean.
-        Returns the end of its airtime."""
+                  start: float, airtime: float, on_arrival, *args) -> float:
+        """Put one frame on the air from start for airtime seconds; unless
+        receiver is None, it reaches on_arrival(receiver, *args) there if it
+        arrives clean.  Returns the end of its airtime."""
         tx = self._register_tx(sender.node_id, sender.channel, start,
-                               start + self._air(size_bytes))
+                               start + airtime)
         if receiver is not None:
             self.schedule(tx.t_end, "FrameArrival", receiver.node_id,
                           self._receive, receiver, tx, on_arrival, args)
@@ -442,9 +455,9 @@ class Sim:
         frame = radio.head().frame
         peer = self._radio_on_channel(frame.dst, radio.channel)
         ex = radio.exchange = Exchange("wait_cts")
-        rts_end = self._transmit(radio, peer, self.now, RTS_BYTES,
+        rts_end = self._transmit(radio, peer, self.now, self.rts_air,
                                  self._rts_arrival, radio, frame)
-        deadline = rts_end + SIFS + self._air(CTS_BYTES) + TIMEOUT_SLACK_S
+        deadline = rts_end + SIFS + self.cts_air + TIMEOUT_SLACK_S
         self.schedule(deadline, "TimerFire", radio.node_id,
                       self._exchange_timeout, radio, ex, "wait_cts")
 
@@ -457,12 +470,10 @@ class Sim:
         if active and self.rts_decide(rx_radio.channel, active,
                                       mode=self.rts_mode) is RtsDecision.DEFER:
             return
-        data_air = self._air(frame.size_bytes)
-        ack_air = self._air(MAC_ACK_BYTES)
-        cts_air = self._air(CTS_BYTES)
-        rx_radio.rx_engaged_until = (self.now + SIFS + cts_air + SIFS + data_air
-                                     + SIFS + ack_air + TIMEOUT_SLACK_S)
-        self._transmit(rx_radio, tx_radio, self.now + SIFS, CTS_BYTES,
+        rx_radio.rx_engaged_until = (self.now + SIFS + self.cts_air + SIFS
+                                     + self._air(frame.size_bytes) + SIFS
+                                     + self.mac_ack_air + TIMEOUT_SLACK_S)
+        self._transmit(rx_radio, tx_radio, self.now + SIFS, self.cts_air,
                        self._cts_arrival, rx_radio, frame)
 
     def _cts_arrival(self, tx_radio: RadioState, rx_radio: RadioState, frame: Frame):
@@ -473,14 +484,15 @@ class Sim:
         # itself leaves one guard interval later
         tx_radio.release_head_to_medium(self.now)
         ex.state = "wait_ack"
-        data_end = self._transmit(tx_radio, rx_radio, self.now + SIFS, frame.size_bytes,
+        data_end = self._transmit(tx_radio, rx_radio, self.now + SIFS,
+                                  self._air(frame.size_bytes),
                                   self._data_arrival, tx_radio, frame)
-        deadline = data_end + SIFS + self._air(MAC_ACK_BYTES) + TIMEOUT_SLACK_S
+        deadline = data_end + SIFS + self.mac_ack_air + TIMEOUT_SLACK_S
         self.schedule(deadline, "TimerFire", tx_radio.node_id,
                       self._exchange_timeout, tx_radio, ex, "wait_ack")
 
     def _data_arrival(self, rx_radio: RadioState, tx_radio: RadioState, frame: Frame):
-        self._transmit(rx_radio, tx_radio, self.now + SIFS, MAC_ACK_BYTES,
+        self._transmit(rx_radio, tx_radio, self.now + SIFS, self.mac_ack_air,
                        self._mac_ack_arrival)
         if rx_radio.delivered_uid_from.get(frame.src) == frame.uid:
             return                      # retransmitted copy already handed up
@@ -792,12 +804,6 @@ class Sim:
 
     # -- run ------------------------------------------------------------------
 
-    def _trace(self, t: float, label: str, node: int):
-        line = f"{t:.9f} {label} n{node}\n"
-        self._hash.update(line.encode())
-        if self._trace_file is not None:
-            self._trace_file.write(line)
-
     def run(self) -> SimResult:
         sim_time = self.config.sim_time_s
         if sim_time > 0:
@@ -811,19 +817,29 @@ class Sim:
                 self.schedule(min(FLOW_START_S, sim_time), "FlowSendWindow",
                               self.flows[flow_id].src, self._fill_window,
                               self.flows[flow_id])
-        while self._heap and self._heap[0][0] <= sim_time:
-            t, _, label, node, fn, args = heapq.heappop(self._heap)
+        heap = self._heap
+        heappop = heapq.heappop
+        hash_update = self._hash.update
+        write = self._trace_file.write if self._trace_file is not None else None
+        while heap and heap[0][0] <= sim_time:
+            t, _, label, node, fn, args = heappop(heap)
             if t < self.now:
                 raise SimulationFault("event clock moved backwards")
             self.now = t
             self.dispatched += 1
-            self._trace(t, label, node)
+            line = TRACE_LINE % (t, label, node)
+            hash_update(line.encode())
+            if write is not None:
+                write(line)
             fn(*args)
         # the events left over hold bound methods of this Sim; dropping them
         # breaks that cycle, so a finished run is freed without the collector
-        self._heap.clear()
+        heap.clear()
         self.now = sim_time
-        self._trace(sim_time, "SimEnd", -1)
+        line = TRACE_LINE % (sim_time, "SimEnd", -1)
+        hash_update(line.encode())
+        if write is not None:
+            write(line)
         self._check_conservation()
         return self._result()
 

@@ -2,6 +2,7 @@
 conservation, and the two-phase rerouting experiment."""
 
 import gc
+import hashlib
 import io
 import math
 import time
@@ -181,9 +182,14 @@ def test_finished_phases_are_freed_without_the_collector(monkeypatch):
 
 def test_trace_stream_is_ordered():
     buf = io.StringIO()
-    Sim(chain_cfg(2, sim_time_s=2.0), RouteMetric.HOP_COUNT, "x",
-        trace_file=buf).run()
-    lines = buf.getvalue().splitlines()
+    res = Sim(chain_cfg(2, sim_time_s=2.0), RouteMetric.HOP_COUNT, "x",
+              trace_file=buf).run()
+    text = buf.getvalue()
+    # the written lines are exactly the hashed ones: one per dispatched
+    # event, then SimEnd
+    assert hashlib.sha256(text.encode()).hexdigest() == res.trace_hash
+    lines = text.splitlines()
+    assert len(lines) == res.dispatched_events + 1
     assert lines[-1].split()[1] == "SimEnd"
     times = [float(line.split()[0]) for line in lines]
     assert times == sorted(times)
@@ -338,14 +344,56 @@ ORACLE_CASES = (
     ("mesh8-jammer", ScenarioConfig(topology=TopologySpec("mesh8"), sim_time_s=8.0,
                                     seed=1, jammer_channel=1,
                                     jammer_x=100.0, jammer_y=-80.0)),
+    # the last radio of a node retunes on its beacon ticks, so frames of one
+    # radio sit on the air under two channels in one run
+    ("chain5-pcl", chain_cfg(5, channel_plan="pcl", sim_time_s=11.0, seed=3)),
+    # data frames the size of an RTS: the prune horizon shrinks to the
+    # 40-byte transport ACK's airtime, and no frame kind outlasts the others
+    ("chain5-20-byte-data", chain_cfg(5, channel_plan="overlapping",
+                                      packet_size_bytes=20, sim_time_s=4.0, seed=3)),
+    ("mesh8-jammer-always-on", ScenarioConfig(
+        topology=TopologySpec("mesh8"), sim_time_s=6.0, seed=1, jammer_channel=1,
+        jammer_x=100.0, jammer_y=-80.0, jammer_on_s=1000.0)),
 )
 
 
 def test_medium_matches_brute_force_scan():
     t0 = time.monotonic()
+    sims = {}
     for name, cfg in ORACLE_CASES:
-        sim = OracleSim(cfg, RouteMetric.HOP_COUNT, "x")
+        sim = sims[name] = OracleSim(cfg, RouteMetric.HOP_COUNT, "x")
         sim.run()
         seen = sim.answers
         assert min(seen.values()) > 0, (name, seen)
     assert time.monotonic() - t0 < 10.0
+    assert sims["chain5-pcl"].counters["pcl_retunes"] > 0
+
+
+class OrderedListSim(Sim):
+    """Checks the in-flight list after every registration."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.registered = 0
+        self.inserted = 0
+
+    def _register_tx(self, *args):
+        tx = super()._register_tx(*args)
+        ends = [t.t_end for t in self.on_air]
+        assert ends == sorted(ends)
+        assert self.on_air_ends == ends
+        assert all(end > self.now - self.horizon for end in ends)
+        assert any(t is tx for t in self.on_air)
+        self.registered += 1
+        self.inserted += self.on_air[-1] is not tx
+        return tx
+
+
+@pytest.mark.parametrize("name", ["random15-200kbps", "chain5-20-byte-data"])
+def test_in_flight_list_stays_ordered_and_pruned(name):
+    sim = OrderedListSim(dict(ORACLE_CASES)[name], RouteMetric.HOP_COUNT, "x")
+    sim.run()
+    # both ways in: appended at the tail, and inserted ahead of a frame
+    # that ends later; and the head was pruned along the way
+    assert 0 < sim.inserted < sim.registered
+    assert len(sim.on_air) < sim.registered
