@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .channel import classify, interference_factor
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config, parse_value
 from .experiment import NUMERIC_COLUMNS, RunRow, execute, median_cells, sweep
 from .mac import SimulationFault, handle_rts_delay_tolerant, handle_rts_qos
 from .topology import BuildError
@@ -23,8 +23,6 @@ CSV_HEADER = ",".join(["scenario", "seed", "protocol",
                        *(name for name, _, _ in NUMERIC_COLUMNS), "collision_class"])
 
 ROUTES_HEADER = "node,destination,next_hop,hop_count,rtt_cost_ms,expires_at"
-
-SWEEP_DEFAULT_SEEDS = tuple(range(1, 11))
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -54,7 +52,7 @@ def _write_rows(out, lines: Sequence[str]):
         out.write(line + "\n")
 
 
-def _load_config(path: Optional[str], seed: Optional[int]) -> ScenarioConfig:
+def _load_config(path: Optional[str], seed: Optional[str]) -> ScenarioConfig:
     if path is None:
         text = ""
     else:
@@ -62,7 +60,7 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> ScenarioConfig:
             text = fh.read()
     config = parse_config(text)
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+        config = dataclasses.replace(config, seed=parse_value("seed", seed))
     return config
 
 
@@ -74,16 +72,26 @@ def _config_error(exc: Exception) -> int:
     return 1
 
 
+def _distinct(flag: str, values: List[int]) -> List[int]:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} lists {value} more than once")
+    return values
+
+
 def _parse_seeds(text: str) -> List[int]:
+    """A seed range `lo..hi` or a comma list, each seed checked as the
+    config's `seed` key checks it."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+        return list(range(parse_value("seed", lo), parse_value("seed", hi) + 1))
+    return _distinct("--seeds", [parse_value("seed", part)
+                                 for part in text.split(",") if part.strip()])
 
 
-def _parse_int_list(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_int_list(flag: str, text: str) -> List[int]:
+    return _distinct(flag, [int(part) for part in text.split(",") if part.strip()])
 
 
 def cmd_run(args) -> int:
@@ -131,7 +139,7 @@ def cmd_sweep(args) -> int:
         config = _load_config(args.config_flag, None)
         seeds = _parse_seeds(args.seeds)
         axis = "hops" if args.hops else "nodes"
-        values = _parse_int_list(args.hops or args.nodes)
+        values = _parse_int_list(f"--{axis}", args.hops or args.nodes)
     except (ConfigError, ValueError, OSError) as exc:
         return _config_error(exc)
     if not values or not seeds:
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "empty or absent means all defaults)")
     run_p.add_argument("--config", dest="config_flag", metavar="PATH",
                        help="scenario config path (alternative to the positional)")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", default=None,
                        help="override the config seed (default: config value)")
     run_p.add_argument("--out", metavar="PATH", default=None,
                        help="CSV output path (default: standard output)")

@@ -5,8 +5,8 @@ either returns a complete config or raises with the full error list.
 
 Each key is declared once, as a field of ScenarioConfig whose metadata holds
 its parser (with the range check and the exact error text), its canonical
-text form and its one-line doc.  Parsing, serialization and the README key
-table all follow those declarations.
+text form and its one-line doc.  Parsing, serialization, the README key
+table and the command line's seed flags all follow those declarations.
 """
 
 from __future__ import annotations
@@ -190,9 +190,6 @@ class ScenarioConfig:
     data_rate_bps: float = _key(
         1_000_000.0, _number(" (bits/second)", lambda v: v <= 0, "positive"),
         "radio bit rate in bits/second")
-    alpha: float = _key(
-        0.5, _number(reject=lambda v: not 0.0 <= v <= 1.0, requirement="in [0,1]"),
-        "queue/contention blend in the hop cost")
     delta: float = _key(
         0.125, _number(reject=lambda v: not 0.0 < v < 1.0, requirement="in (0,1)"),
         "RTT estimator smoothing weight")
@@ -221,6 +218,15 @@ class ScenarioConfig:
 _KEYS = {f.name: f for f in fields(ScenarioConfig)}
 
 
+def parse_value(key: str, raw: str):
+    """One value of a declared key, checked by the key's own parser; raises
+    ConfigError carrying that parser's message."""
+    try:
+        return _KEYS[key].metadata["parse"](raw.strip(), key)
+    except _Invalid as exc:
+        raise ConfigError([str(exc)]) from None
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate; raises ConfigError carrying every problem found."""
     errors: List[str] = []
@@ -240,13 +246,12 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {lineno}: duplicate key {key} (first set on line {seen[key]})")
             continue
         seen[key] = lineno
-        declared = _KEYS.get(key)
-        if declared is None:
+        if key not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            updates[key] = declared.metadata["parse"](raw.strip(), key)
-        except _Invalid as exc:
+            updates[key] = parse_value(key, raw)
+        except ConfigError as exc:
             errors.append(f"line {lineno}: {exc}")
 
     if errors:

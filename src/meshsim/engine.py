@@ -67,7 +67,6 @@ from .mac import (
     RtsDecision,
     SimulationFault,
     rts_handler,
-    weighted_hop_cost,
 )
 from .metrics import FlowStats, RunSummary, summarize
 from .routing import (
@@ -212,8 +211,7 @@ class UnackedPacket:
 class FlowRuntime:
     __slots__ = ("flow_id", "src", "dst", "window", "next_seq", "unacked",
                  "stats", "estimator", "rto", "blocked", "delivered_seqs",
-                 "copies_injected", "copies_delivered", "copies_mac_discarded",
-                 "final_hops")
+                 "copies_injected", "copies_delivered", "copies_mac_discarded")
 
     def __init__(self, flow_id: int, src: int, dst: int, window: int, delta: float):
         self.flow_id = flow_id
@@ -230,7 +228,6 @@ class FlowRuntime:
         self.copies_injected = 0
         self.copies_delivered = 0
         self.copies_mac_discarded = 0
-        self.final_hops: Optional[int] = None
 
 
 @dataclass
@@ -269,7 +266,6 @@ class Sim:
         self.corrupted_receptions = 0
         self.counters: Dict[str, float] = {
             "route_misses": 0, "hello_queue_drops": 0, "mac_discards": 0,
-            "weighted_hop_cost_sum_ms": 0.0, "weighted_hop_cost_n": 0,
             "pcl_retunes": 0,
         }
 
@@ -504,10 +500,6 @@ class Sim:
         if ex is None or ex.state != "wait_ack":
             return
         entry = tx_radio.pop_head(self.now)
-        if entry.frame.kind is FrameKind.DATA:
-            self.counters["weighted_hop_cost_sum_ms"] += \
-                weighted_hop_cost(entry.ts, self.config.alpha) * 1000.0
-            self.counters["weighted_hop_cost_n"] += 1
         if tx_radio.backoff.retries == 0:
             # first try: measured from queue head so a sender's own backlog
             # does not poison the link estimate, and rescaled to the nominal
@@ -727,16 +719,12 @@ class Sim:
                     rtt_cost=self._measured_sum(zip(path[1:i + 1], path[:i])),
                     expires_at=expiry))
         self._flow_paths[(src, dst)] = path
-        matched = False
         for fid in sorted(self.flows):
             flow = self.flows[fid]
-            if flow.src == src and flow.dst == dst:
-                matched = True
-                flow.final_hops = total
-                if flow.blocked:
-                    flow.blocked = False
-                    self._fill_window(flow)
-        if matched and self.metric is RouteMetric.AVG_RTT:
+            if flow.src == src and flow.dst == dst and flow.blocked:
+                flow.blocked = False
+                self._fill_window(flow)
+        if self.metric is RouteMetric.AVG_RTT:
             # measured link costs drift, so flow routes are checked on a
             # fixed cadence instead of living forever on refresh
             self._schedule_reeval(src, dst)
@@ -753,11 +741,10 @@ class Sim:
     def _route_reeval(self, src: int, dst: int):
         if (src, dst) in self._discovering:
             return
-        current = self._flow_paths.get((src, dst))
-        if current is None \
-                or self.nodes[src].route_table.lookup(dst, self.now) is None:
+        if self.nodes[src].route_table.lookup(dst, self.now) is None:
             self._attempt_discovery(src, dst, 1)
             return
+        current = self._flow_paths[(src, dst)]
         best = self._search(src, dst, RouteMetric.AVG_RTT)
         if best is not None and tuple(best) != current \
                 and self._path_cost(best) < self._path_cost(current) * REROUTE_GAIN:
@@ -886,6 +873,7 @@ class Sim:
         else:
             summary = RunSummary(0.0, None, None, None, self.protocol_label)
         first = self.flows.get(0)
+        first_path = None if first is None else self._flow_paths.get((first.src, first.dst))
         route_rows = []
         for node_id in sorted(self.nodes):
             for entry in self.nodes[node_id].route_table.rows():
@@ -894,7 +882,7 @@ class Sim:
             summary=summary,
             flow_stats=stats,
             n_nodes=len(self.nodes),
-            n_hops=first.final_hops if first is not None else None,
+            n_hops=None if first_path is None else len(first_path) - 1,
             trace_hash=self._hash.hexdigest(),
             corrupted_receptions=self.corrupted_receptions,
             dispatched_events=self.dispatched,

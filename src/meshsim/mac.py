@@ -29,8 +29,6 @@ RTS_BYTES = 20
 CTS_BYTES = 14
 MAC_ACK_BYTES = 14
 
-DEFAULT_QUEUE_CAPACITY = 50
-
 
 class SimulationFault(RuntimeError):
     """Internal invariant violation; aborts the run rather than degrade."""
@@ -196,7 +194,7 @@ class QueuedFrame:
 class MacRadioState:
     """One radio: a channel, a bounded FIFO, and its backoff state."""
 
-    def __init__(self, channel: int, capacity: int = DEFAULT_QUEUE_CAPACITY):
+    def __init__(self, channel: int, capacity: int):
         validate_channel(channel)
         self.channel = channel
         self.capacity = capacity

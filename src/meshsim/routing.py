@@ -9,10 +9,9 @@ The engine forwards every packet, gateway-bound or not, on routes that
 (`converge_potentials`, `next_hop_select`) states the loop-free fixed point
 those advertisements converge to; no forwarding decision reads it.
 
-Route lifecycle, as the engine drives it: discover (up to DISCOVERY_ATTEMPTS
-tries, DISCOVERY_TIMEOUT apart), install along the found path with
-ROUTE_LIFETIME refreshed on use, re-evaluate every 5 s under the RTT metric,
-and switch when another path is at least 20% cheaper.
+The route lifecycle (discovery, install, re-evaluation, switching) is
+described once, in the `engine` module docstring; the engine drives it with
+the timing constants below.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from .mac import SimulationFault
 
-DEFAULT_DELTA = 0.125
 HELLO_INTERVAL = 1.0
 HELLO_TIMEOUT = 3.0 * HELLO_INTERVAL   # three missed hellos
 ROUTE_LIFETIME = 10.0
@@ -60,7 +58,7 @@ class RttEstimator:
 
     __slots__ = ("delta", "average_rtt", "samples_seen")
 
-    def __init__(self, delta: float = DEFAULT_DELTA, initial: Optional[float] = None):
+    def __init__(self, delta: float, initial: Optional[float] = None):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         self.delta = delta
@@ -87,8 +85,8 @@ class RttEstimator:
 class NeighborRecord:
     neighbor: int
     last_hello_at: float
+    link_estimator: RttEstimator
     advertised_cum_rtt: float = math.inf
-    link_estimator: RttEstimator = field(default_factory=RttEstimator)
 
     def is_active(self, now: float) -> bool:
         return now - self.last_hello_at <= HELLO_TIMEOUT

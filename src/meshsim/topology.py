@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from .config import ScenarioConfig
+from .config import NAMED_CHANNEL_PLANS, ScenarioConfig
 
 TX_RANGE_M = 250.0
 INTERFERENCE_RANGE_M = 550.0
@@ -145,7 +145,7 @@ def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
     if n < 2:
         raise BuildError("chain needs at least 2 nodes")
     width = max(AREA_WIDTH_M, CHAIN_SPACING_M * (n - 1))
-    if channel_plan in ("orthogonal", "overlapping", "pcl"):
+    if channel_plan in NAMED_CHANNEL_PLANS:
         cycle = _cycle_for_plan(channel_plan)
         channels = [_chain_channels(i, n, cycle, radios_per_node) for i in range(n)]
     else:
@@ -169,7 +169,7 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
     if n < 2:
         raise BuildError("random topology needs at least 2 nodes")
     rng = random.Random(seed)
-    if channel_plan in ("orthogonal", "overlapping", "pcl"):
+    if channel_plan in NAMED_CHANNEL_PLANS:
         channels = [_random_node_channels(i, channel_plan, radios_per_node)
                     for i in range(n)]
     else:

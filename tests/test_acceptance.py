@@ -248,8 +248,8 @@ def test_determinism_and_conservation(tmp_path):
     out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli.main(["run", str(cfg_path), "--out", out_a]) == 0
     assert cli.main(["run", str(cfg_path), "--out", out_b]) == 0
-    csv_a = open(out_a, "rb").read()
-    assert csv_a == open(out_b, "rb").read() and csv_a
+    csv_a = (tmp_path / "a.csv").read_bytes()
+    assert csv_a == (tmp_path / "b.csv").read_bytes() and csv_a
 
     first = corciar_run(mesh8_cfg(3))
     second = corciar_run(mesh8_cfg(3))

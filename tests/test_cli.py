@@ -58,11 +58,40 @@ def test_run_seed_flag_overrides_config(tmp_path, capsys):
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):
-    path = write_cfg(tmp_path, "alpha = 1.5\n")
+    path = write_cfg(tmp_path, "delta = 1.5\n")
     assert cli.main(["run", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "line 1" in captured.err and "alpha" in captured.err
+    assert captured.err == "config error: line 1: delta must be in (0,1)\n"
+
+
+def test_run_rejects_alpha_as_unknown_key(tmp_path, capsys):
+    path = write_cfg(tmp_path, "alpha = 0.5\n")
+    assert cli.main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: line 1: unknown key 'alpha'\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--seed=-5"], "seed must be >= 0, got -5"),
+    (["run", "--seed", "five"], "seed must be an integer, got 'five'"),
+    (["sweep", "--hops", "2", "--seeds=-1,1"], "seed must be >= 0, got -1"),
+    (["sweep", "--hops", "2", "--seeds=-1..2"], "seed must be >= 0, got -1"),
+    (["sweep", "--hops", "2,2", "--seeds", "1"], "--hops lists 2 more than once"),
+    (["sweep", "--nodes", "5,6,5", "--seeds", "1"], "--nodes lists 5 more than once"),
+    (["sweep", "--hops", "2", "--seeds", "1,3,1"], "--seeds lists 1 more than once"),
+], ids=["run-negative-seed", "run-text-seed", "sweep-negative-seed",
+        "sweep-negative-range", "repeated-hops", "repeated-nodes", "repeated-seeds"])
+def test_command_line_values_checked_before_running(argv, message, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran a scenario despite a bad command line value")
+    monkeypatch.setattr(cli, "execute", must_not_run)
+    monkeypatch.setattr(cli, "sweep", must_not_run)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_run_rejects_missing_file(capsys):

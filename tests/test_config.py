@@ -16,7 +16,7 @@ def test_empty_text_yields_defaults():
     assert cfg.data_rate_bps == 1_000_000.0
     assert cfg.queue_capacity == 50
     assert cfg.window == 4
-    assert cfg.alpha == 0.5 and cfg.delta == 0.125 and cfg.theta == 0.1
+    assert cfg.delta == 0.125 and cfg.theta == 0.1
     assert cfg.rts_mode == "symmetric" and cfg.protocol == "both"
 
 
@@ -30,10 +30,10 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.seed == 9
 
 
-def test_alpha_range_message():
+def test_alpha_is_an_unknown_key():
     with pytest.raises(ConfigError) as exc:
-        parse_config("alpha = 1.5")
-    assert exc.value.errors == ["line 1: alpha must be in [0,1]"]
+        parse_config("alpha = 0.5")
+    assert exc.value.errors == ["line 1: unknown key 'alpha'"]
 
 
 def test_unknown_key_rejected_with_line_number():
@@ -44,7 +44,7 @@ def test_unknown_key_rejected_with_line_number():
 
 def test_every_error_reported_not_just_first():
     with pytest.raises(ConfigError) as exc:
-        parse_config("alpha = 2\ndelta = 0\ntheta = -1\nwindow = 0\n")
+        parse_config("queue_capacity = 0\ndelta = 0\ntheta = -1\nwindow = 0\n")
     assert len(exc.value.errors) == 4
 
 
@@ -109,7 +109,7 @@ def test_serialize_round_trip():
         "",
         "topology = random(20, 7)\nprotocol = corciar\nflows = 19>0, 18>0\n",
         "topology = mesh8\njammer_channel = 1\njammer_x = 100\njammer_y = -80\n",
-        "alpha = 0.25\ndelta = 0.5\ntheta = 0.3\nsim_time_s = 12.5\n"
+        "delta = 0.5\ntheta = 0.3\nsim_time_s = 12.5\n"
         "rts_mode = literal\ntraffic_class = delay_tolerant\nchannel_plan = 1,6;6,11\n",
         "jammer_x = 12.5\njammer_off_s = 0.5\n",   # jammer placed but switched off
     ]
@@ -145,8 +145,6 @@ ERROR_MESSAGES = [
     ("data_rate_bps = 0", "line 1: data_rate_bps must be positive"),
     ("data_rate_bps = fast", "line 1: data_rate_bps must be a number (bits/second), "
                              "got 'fast'"),
-    ("alpha = 1.5", "line 1: alpha must be in [0,1]"),
-    ("alpha = half", "line 1: alpha must be a number, got 'half'"),
     ("delta = 1", "line 1: delta must be in (0,1)"),
     ("theta = -1", "line 1: theta must be in [0,1]"),
     ("window = 0", "line 1: window must be >= 1, got 0"),

@@ -193,7 +193,7 @@ def _frame(seq=0):
 
 
 def test_enqueue_to_empty_queue_is_instant_head():
-    radio = MacRadioState(channel=6)
+    radio = MacRadioState(channel=6, capacity=50)
     assert radio.enqueue(_frame(), 2.5) is EnqueueResult.ACCEPTED
     head = radio.head()
     assert head.ts.t_i == 2.5 and head.ts.t_h == 2.5
@@ -208,7 +208,7 @@ def test_queue_capacity_drops_excess():
 
 
 def test_pop_head_promotes_successor():
-    radio = MacRadioState(channel=6)
+    radio = MacRadioState(channel=6, capacity=50)
     radio.enqueue(_frame(0), 1.0)
     radio.enqueue(_frame(1), 1.5)
     second = radio.queue[1]
@@ -226,7 +226,7 @@ def test_pop_head_promotes_successor():
 
 
 def test_radio_clock_must_not_rewind():
-    radio = MacRadioState(channel=6)
+    radio = MacRadioState(channel=6, capacity=50)
     radio.enqueue(_frame(), 5.0)
     with pytest.raises(SimulationFault):
         radio.enqueue(_frame(1), 4.0)

@@ -40,7 +40,7 @@ def test_ewma_fixed_point_and_substitution():
 
 
 def test_ewma_first_sample_replaces_standby_value():
-    est = RttEstimator(initial=9000.0)
+    est = RttEstimator(delta=0.125, initial=9000.0)
     assert est.average_rtt == 9000.0 and not est.seeded
     est.update(20.0)
     assert est.average_rtt == 20.0
@@ -51,7 +51,7 @@ def test_ewma_constant_stream_converges_regardless_of_start():
     for _ in range(50):
         start = rng.uniform(0.0, 10000.0)
         s = rng.uniform(1.0, 10000.0)
-        est = RttEstimator(initial=start)
+        est = RttEstimator(delta=0.125, initial=start)
         for _ in range(60):
             est.update(s)
         assert abs(est.average_rtt - s) <= 1e-6
@@ -73,7 +73,7 @@ def test_ewma_matches_closed_form():
 
 def test_ewma_stays_in_sample_envelope():
     rng = random.Random(13)
-    est = RttEstimator()
+    est = RttEstimator(delta=0.125)
     lo, hi = math.inf, -math.inf
     for _ in range(500):
         s = rng.uniform(5.0, 400.0)
@@ -87,7 +87,7 @@ def test_ewma_rejects_bad_inputs():
         RttEstimator(delta=0.0)
     with pytest.raises(ValueError):
         RttEstimator(delta=1.0)
-    est = RttEstimator()
+    est = RttEstimator(delta=0.125)
     with pytest.raises(SimulationFault):
         est.update(-1.0)
     assert est.update(10.0) == 10.0
@@ -95,6 +95,7 @@ def test_ewma_rejects_bad_inputs():
 
 def _record(neighbor, now, advertised, link_ms):
     rec = NeighborRecord(neighbor=neighbor, last_hello_at=now,
+                         link_estimator=RttEstimator(delta=0.125),
                          advertised_cum_rtt=advertised)
     rec.link_estimator.update(link_ms)
     return rec
@@ -115,7 +116,9 @@ def test_cumulative_rtt_prefers_cheaper_branch():
 
 def test_cumulative_rtt_skips_unusable_neighbors():
     stale = _record(1, now=0.0, advertised=10.0, link_ms=5.0)      # silent too long
-    unseeded = NeighborRecord(neighbor=2, last_hello_at=9.0, advertised_cum_rtt=10.0)
+    unseeded = NeighborRecord(neighbor=2, last_hello_at=9.0,
+                              link_estimator=RttEstimator(delta=0.125),
+                              advertised_cum_rtt=10.0)
     unreachable = _record(3, now=9.0, advertised=math.inf, link_ms=5.0)
     got = cumulative_rtt(7, [stale, unseeded, unreachable], gateway=0, now=9.0)
     assert math.isinf(got)
