@@ -1,4 +1,4 @@
-"""2.4 GHz channel spectrum model: separation classes, interference factors, PCL.
+"""2.4 GHz channel spectrum model: separation classes and interference factors.
 
 The 11-channel ISM band is linear in frequency, so everything here is driven
 by the absolute index distance between two channels.  Channels 5 apart or
@@ -61,42 +61,3 @@ INTERFERENCE_BY_SEPARATION = tuple(
 def interference_factor(c1: int, c2: int) -> float:
     return INTERFERENCE_BY_SEPARATION[separation(c1, c2)]
 
-
-class Preference(enum.Enum):
-    HIGH = 2
-    MEDIUM = 1
-    LOW = 0
-
-
-class PclTable:
-    """Per-node preferable channel list.
-
-    Every channel holds exactly one preference level.  At most one channel is
-    HIGH within a beacon interval (the one this node itself selected); a
-    channel observed in use by a neighbor drops to LOW; an interval rollover
-    demotes HIGH back to MEDIUM.
-    """
-
-    def __init__(self):
-        self.entries = {ch: Preference.MEDIUM for ch in ALL_CHANNELS}
-
-    def mark_self_selected(self, ch: int):
-        validate_channel(ch)
-        for other, pref in self.entries.items():
-            if pref is Preference.HIGH:
-                self.entries[other] = Preference.MEDIUM
-        self.entries[ch] = Preference.HIGH
-
-    def mark_neighbor_took(self, ch: int):
-        validate_channel(ch)
-        self.entries[ch] = Preference.LOW
-
-    def rollover(self):
-        for ch, pref in self.entries.items():
-            if pref is Preference.HIGH:
-                self.entries[ch] = Preference.MEDIUM
-
-    def select(self) -> int:
-        """Best-ranked channel, lowest id on ties."""
-        best = max(self.entries.items(), key=lambda kv: (kv[1].value, -kv[0]))
-        return best[0]

@@ -90,14 +90,19 @@ def _parse_seeds(text: str) -> List[int]:
                                  for part in text.split(",") if part.strip()])
 
 
-def _parse_int_list(flag: str, text: str) -> List[int]:
-    return _distinct(flag, [int(part) for part in text.split(",") if part.strip()])
+def _parse_int_list(flag: str, text: str, minimum: int) -> List[int]:
+    values = _distinct(flag, [int(part) for part in text.split(",") if part.strip()])
+    for value in values:
+        if value < minimum:
+            raise ValueError(f"{flag} values must be >= {minimum}, got {value}")
+    return values
 
 
 def cmd_run(args) -> int:
-    config_path = args.config_flag or args.config
     try:
-        config = _load_config(config_path, args.seed)
+        if args.config is not None and args.config_flag is not None:
+            raise ConfigError(["give one config path: positional or --config, not both"])
+        config = _load_config(args.config_flag or args.config, args.seed)
     except (ConfigError, OSError) as exc:
         return _config_error(exc)
 
@@ -138,8 +143,10 @@ def cmd_sweep(args) -> int:
     try:
         config = _load_config(args.config_flag, None)
         seeds = _parse_seeds(args.seeds)
-        axis = "hops" if args.hops else "nodes"
-        values = _parse_int_list(f"--{axis}", args.hops or args.nodes)
+        # the least axis value that builds: a chain of hops + 1 nodes, or a
+        # random topology of n nodes, needs 2 nodes
+        axis, minimum = ("hops", 1) if args.hops else ("nodes", 2)
+        values = _parse_int_list(f"--{axis}", args.hops or args.nodes, minimum)
     except (ConfigError, ValueError, OSError) as exc:
         return _config_error(exc)
     if not values or not seeds:

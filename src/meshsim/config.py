@@ -168,11 +168,13 @@ class ScenarioConfig:
         TopologySpec(kind="chain", n=6), _topology,
         "node layout: `chain(n)`, `random(n[, seed])`, or `mesh8`, the built-in "
         "8-node mesh", show=TopologySpec.label)
-    radios_per_node: int = _key(2, _integer(1, 11), "radios fitted to every node, 1 to 11")
+    radios_per_node: int = _key(
+        2, _integer(1, 11), "radios fitted to every node, 1 to 11; `mesh8` needs 2")
     channel_plan: str = _key(
         "orthogonal", _channel_plan,
         "how initial channels are assigned: `orthogonal`, `overlapping`, `pcl`, "
-        "or an explicit per-node list like `1,6;6,11`")
+        "or an explicit per-node list like `1,6;6,11`; `mesh8` takes `orthogonal` "
+        "(its own fixed channels) or `pcl`")
     rts_mode: str = _key(
         "symmetric", _one_of(VALID_RTS_MODES),
         "`symmetric` grants by channel separation; `literal` reproduces the exact "

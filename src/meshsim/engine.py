@@ -36,6 +36,11 @@ every ROUTE_REEVAL_S (5 s) by one least-RTT search, and switched when the
 found path's measured cost is under REROUTE_GAIN of the current one's, a
 gain of at least 20%.  Only discovery falls back to hop count: such a path
 has an unmeasured link, costs inf, and could never win a re-evaluation.
+
+Under `channel_plan = pcl` each node beacons every BEACON_INTERVAL_S: it
+claims the lowest channel no interference neighbour has claimed since its
+own last claim of it (channel 1 when every channel is so claimed), marks it
+claimed at each such neighbour, and retunes its last radio to it if idle.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION, PclTable
+from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION
 from .config import ScenarioConfig
 from .mac import (
     BackoffOutcome,
@@ -185,16 +190,16 @@ class RadioState(MacRadioState):
 
 
 class NodeState:
-    __slots__ = ("node_id", "radios", "records", "route_table", "cum_rtt_advert",
-                 "pcl")
+    __slots__ = ("radios", "records", "route_table", "cum_rtt_advert", "claimed")
 
     def __init__(self, node_id: int, channels, capacity: int, use_pcl: bool):
-        self.node_id = node_id
         self.radios = [RadioState(node_id, ch, capacity) for ch in channels]
         self.records: Dict[int, NeighborRecord] = {}
         self.route_table = RouteTable()
         self.cum_rtt_advert = math.inf
-        self.pcl = PclTable() if use_pcl else None
+        # pcl plan only: the channels an interference neighbour has claimed
+        # since this node last claimed them itself
+        self.claimed: Optional[Set[int]] = set() if use_pcl else None
 
 
 class UnackedPacket:
@@ -770,13 +775,11 @@ class Sim:
 
     def _beacon_tick(self, node_id: int):
         node = self.nodes[node_id]
-        node.pcl.rollover()
-        choice = node.pcl.select()
-        node.pcl.mark_self_selected(choice)
+        choice = min((ch for ch in ALL_CHANNELS if ch not in node.claimed),
+                     default=ALL_CHANNELS[0])
+        node.claimed.discard(choice)
         for other_id in self.topo.interference_candidates[node_id]:
-            other = self.nodes[other_id]
-            if other.pcl is not None:
-                other.pcl.mark_neighbor_took(choice)
+            self.nodes[other_id].claimed.add(choice)
         # the last radio follows the claimed channel once it has drained;
         # the first radio stays on its planned channel so the baseline
         # connectivity never fully disappears
@@ -797,7 +800,7 @@ class Sim:
             for node_id in sorted(self.nodes):
                 offset = self.rng.random() * HELLO_INTERVAL
                 self.schedule(offset, "HelloTick", node_id, self._hello_tick, node_id)
-                if self.nodes[node_id].pcl is not None:
+                if self.nodes[node_id].claimed is not None:
                     self.schedule(offset + self.rng.random() * BEACON_INTERVAL_S,
                                   "BeaconTick", node_id, self._beacon_tick, node_id)
             for flow_id in sorted(self.flows):

@@ -83,7 +83,6 @@ class RttEstimator:
 
 @dataclass
 class NeighborRecord:
-    neighbor: int
     last_hello_at: float
     link_estimator: RttEstimator
     advertised_cum_rtt: float = math.inf
@@ -100,8 +99,7 @@ def neighbor_record(records: Dict[int, NeighborRecord], neighbor: int,
     rec = records.get(neighbor)
     if rec is None:
         rec = records[neighbor] = NeighborRecord(
-            neighbor=neighbor, last_hello_at=-1e9,
-            link_estimator=RttEstimator(delta=delta))
+            last_hello_at=-1e9, link_estimator=RttEstimator(delta=delta))
     return rec
 
 

@@ -232,6 +232,10 @@ def build_topology(config: ScenarioConfig) -> Topology:
         seed = spec.placement_seed if spec.placement_seed is not None else config.seed
         return build_random(spec.n, seed, config.radios_per_node, config.channel_plan)
     if spec.kind == "mesh8":
+        # the layout fixes two channels per node; only pcl may retune them
+        if config.radios_per_node != 2 or config.channel_plan not in ("orthogonal", "pcl"):
+            raise BuildError("mesh8 has two fixed channels per node: it needs "
+                             "radios_per_node = 2 and channel_plan orthogonal or pcl")
         return build_mesh8()
     raise BuildError(f"unknown topology kind {spec.kind!r}")
 

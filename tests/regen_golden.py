@@ -40,6 +40,9 @@ CELLS = (
      "topology = chain(5)\nchannel_plan = overlapping\nrts_mode = literal\n"
      "traffic_class = delay_tolerant\nsim_time_s = 5\nseed = 2\n"),
     ("chain4-pcl", "topology = chain(4)\nchannel_plan = pcl\nsim_time_s = 12\nseed = 3\n"),
+    ("random20-pcl-three-radios",
+     "topology = random(20)\nchannel_plan = pcl\nradios_per_node = 3\n"
+     "sim_time_s = 12\nseed = 4\n"),
     ("chain3-explicit-aodv",
      "topology = chain(3)\nchannel_plan = 3,6;6,9;9,3\nprotocol = aodv_hop\n"
      "sim_time_s = 5\nseed = 4\n"),

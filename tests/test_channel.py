@@ -1,13 +1,9 @@
-"""Spectrum model: separation classes, interference factors, preference lists."""
-
-import random
+"""Spectrum model: separation classes and interference factors."""
 
 import pytest
 
 from meshsim.channel import (
     INTERFERENCE_BY_SEPARATION,
-    PclTable,
-    Preference,
     SeparationClass,
     classify,
     interference_factor,
@@ -122,62 +118,3 @@ def test_profile_validation():
     assert all(f == 0.0 for f in table[5:])         # zero from separation 5
     assert all(0.0 <= f <= 1.0 for f in table)
 
-
-def _highs(pcl):
-    return [ch for ch, pref in pcl.entries.items() if pref is Preference.HIGH]
-
-
-def test_pcl_high_is_exclusive():
-    pcl = PclTable()
-    pcl.mark_self_selected(3)
-    pcl.mark_self_selected(9)
-    highs = _highs(pcl)
-    assert highs == [9]
-
-
-def test_pcl_neighbor_takeover_demotes():
-    pcl = PclTable()
-    pcl.mark_self_selected(4)
-    pcl.mark_neighbor_took(4)
-    assert _highs(pcl) == []
-    # a Low channel is only picked when nothing better remains
-    for ch in ALL_CHANNELS:
-        if ch != 4:
-            pcl.mark_neighbor_took(ch)
-    assert pcl.select() in ALL_CHANNELS
-
-
-def test_pcl_rollover_keeps_at_most_one_high():
-    pcl = PclTable()
-    pcl.mark_self_selected(2)
-    pcl.rollover()
-    assert _highs(pcl) == []
-    pcl.mark_self_selected(7)
-    assert _highs(pcl) == [7]
-
-
-def test_pcl_select_prefers_high_then_lowest_index():
-    pcl = PclTable()
-    assert pcl.select() == 1  # all Medium at start, ties break to lowest
-    pcl.mark_self_selected(8)
-    assert pcl.select() == 8
-    pcl.mark_neighbor_took(8)
-    assert pcl.select() == 1
-
-
-def test_pcl_invariant_under_random_sequences():
-    rng = random.Random(20260815)
-    for _ in range(200):
-        pcl = PclTable()
-        for _step in range(40):
-            op = rng.randrange(3)
-            ch = rng.randint(1, 11)
-            if op == 0:
-                pcl.mark_self_selected(ch)
-            elif op == 1:
-                pcl.mark_neighbor_took(ch)
-            else:
-                pcl.rollover()
-            highs = _highs(pcl)
-            assert len(highs) <= 1
-            assert pcl.select() in ALL_CHANNELS

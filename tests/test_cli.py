@@ -81,8 +81,13 @@ def test_run_rejects_alpha_as_unknown_key(tmp_path, capsys):
     (["sweep", "--hops", "2,2", "--seeds", "1"], "--hops lists 2 more than once"),
     (["sweep", "--nodes", "5,6,5", "--seeds", "1"], "--nodes lists 5 more than once"),
     (["sweep", "--hops", "2", "--seeds", "1,3,1"], "--seeds lists 1 more than once"),
+    (["run", "a.cfg", "--config", "b.cfg"],
+     "give one config path: positional or --config, not both"),
+    (["sweep", "--hops", "2,0", "--seeds", "1"], "--hops values must be >= 1, got 0"),
+    (["sweep", "--nodes", "1", "--seeds", "1"], "--nodes values must be >= 2, got 1"),
 ], ids=["run-negative-seed", "run-text-seed", "sweep-negative-seed",
-        "sweep-negative-range", "repeated-hops", "repeated-nodes", "repeated-seeds"])
+        "sweep-negative-range", "repeated-hops", "repeated-nodes", "repeated-seeds",
+        "run-two-configs", "sweep-zero-hops", "sweep-one-node"])
 def test_command_line_values_checked_before_running(argv, message, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran a scenario despite a bad command line value")

@@ -13,7 +13,7 @@ import pytest
 from meshsim import engine
 from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec
-from meshsim.engine import FLOW_START_S, Sim
+from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, Sim
 from meshsim.experiment import corciar_run, execute
 from meshsim.mac import SimulationFault
 from meshsim.metrics import CollisionClass
@@ -257,6 +257,41 @@ def test_pcl_plan_runs_and_conserves():
     assert st.packets_sent == (st.packets_received_at_gateway
                                + st.drops_retry + st.in_flight_at_end)
     assert res.counters["pcl_retunes"] > 0
+
+
+def test_pcl_beacon_claims_lowest_unclaimed_channel():
+    plain = Sim(chain_cfg(5), RouteMetric.HOP_COUNT, "x")
+    assert all(node.claimed is None for node in plain.nodes.values())
+    sim = Sim(chain_cfg(5, channel_plan="pcl"), RouteMetric.HOP_COUNT, "x")
+    nodes = sim.nodes
+    claimed = lambda: [nodes[i].claimed for i in sorted(nodes)]
+    assert claimed() == [set()] * 5
+    assert [r.channel for r in nodes[0].radios] == [1, 6]
+
+    # nothing claimed yet: node 0 claims channel 1 at every node within
+    # interference range (node 4, 600 m away, lies beyond it), its idle
+    # last radio retunes to it, and its next beacon is due in 5 s
+    sim._beacon_tick(0)
+    assert claimed() == [set(), {1}, {1}, {1}, set()]
+    assert [r.channel for r in nodes[0].radios] == [1, 1]
+    assert sim.counters["pcl_retunes"] == 1
+    assert [(t, label, node) for t, _, label, node, *_ in sim._heap] \
+        == [(BEACON_INTERVAL_S, "BeaconTick", 0)]
+
+    # node 1 skips the channel node 0 claimed
+    sim._beacon_tick(1)
+    assert claimed() == [{2}, {1}, {1, 2}, {1, 2}, {2}]
+    assert nodes[1].radios[-1].channel == 2
+
+    # every channel claimed: node 2 falls back to channel 1 and takes it
+    # off its own set; a busy last radio keeps its channel
+    nodes[2].claimed.update(range(1, 12))
+    nodes[2].radios[-1].exchange = engine.Exchange("wait_ack")
+    before = nodes[2].radios[-1].channel
+    sim._beacon_tick(2)
+    assert claimed() == [{1, 2}, {1}, set(range(2, 12)), {1, 2}, {1, 2}]
+    assert nodes[2].radios[-1].channel == before
+    assert sim.counters["pcl_retunes"] == 2
 
 
 def test_random_topology_three_flows():

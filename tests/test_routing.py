@@ -93,8 +93,8 @@ def test_ewma_rejects_bad_inputs():
     assert est.update(10.0) == 10.0
 
 
-def _record(neighbor, now, advertised, link_ms):
-    rec = NeighborRecord(neighbor=neighbor, last_hello_at=now,
+def _record(now, advertised, link_ms):
+    rec = NeighborRecord(last_hello_at=now,
                          link_estimator=RttEstimator(delta=0.125),
                          advertised_cum_rtt=advertised)
     rec.link_estimator.update(link_ms)
@@ -104,22 +104,22 @@ def _record(neighbor, now, advertised, link_ms):
 def test_cumulative_rtt_gateway_and_chain():
     assert cumulative_rtt(0, [], gateway=0, now=5.0) == 0.0
     # far end of a chain whose per-hop averages are 10, 20, 30 toward the gateway
-    rec = _record(1, now=5.0, advertised=50.0, link_ms=10.0)
+    rec = _record(now=5.0, advertised=50.0, link_ms=10.0)
     assert cumulative_rtt(2, [rec], gateway=0, now=5.0) == pytest.approx(60.0)
 
 
 def test_cumulative_rtt_prefers_cheaper_branch():
-    a = _record(1, now=1.0, advertised=40.0, link_ms=30.0)   # 70 total
-    b = _record(2, now=1.0, advertised=35.0, link_ms=20.0)   # 55 total
+    a = _record(now=1.0, advertised=40.0, link_ms=30.0)   # 70 total
+    b = _record(now=1.0, advertised=35.0, link_ms=20.0)   # 55 total
     assert cumulative_rtt(9, [a, b], gateway=0, now=1.0) == pytest.approx(55.0)
 
 
 def test_cumulative_rtt_skips_unusable_neighbors():
-    stale = _record(1, now=0.0, advertised=10.0, link_ms=5.0)      # silent too long
-    unseeded = NeighborRecord(neighbor=2, last_hello_at=9.0,
+    stale = _record(now=0.0, advertised=10.0, link_ms=5.0)      # silent too long
+    unseeded = NeighborRecord(last_hello_at=9.0,
                               link_estimator=RttEstimator(delta=0.125),
                               advertised_cum_rtt=10.0)
-    unreachable = _record(3, now=9.0, advertised=math.inf, link_ms=5.0)
+    unreachable = _record(now=9.0, advertised=math.inf, link_ms=5.0)
     got = cumulative_rtt(7, [stale, unseeded, unreachable], gateway=0, now=9.0)
     assert math.isinf(got)
 
@@ -278,7 +278,7 @@ def test_hello_processing_creates_updates_expires():
     records = {}
     rec = process_hello(records, sender=4, advertised_cum_rtt=42.0, now=1.0,
                         delta=0.25)
-    assert rec.neighbor == 4 and rec.advertised_cum_rtt == 42.0
+    assert records == {4: rec} and rec.advertised_cum_rtt == 42.0
     assert rec.link_estimator.delta == 0.25
     process_hello(records, sender=4, advertised_cum_rtt=37.5, now=2.0, delta=0.25)
     assert records[4].last_hello_at == 2.0 and records[4].advertised_cum_rtt == 37.5

@@ -105,6 +105,17 @@ def test_mesh8_paths_and_isolation():
         assert topo.comm_adjacency[bystander] <= {1, 2, 3, 8}
         for mesh_node in (4, 5, 6, 7):
             assert topo.distance(bystander, mesh_node) > 550.0
+    # pcl starts from mesh8's own channels and retunes them as it runs
+    cfg = parse_config("topology = mesh8\nchannel_plan = pcl")
+    assert build_topology(cfg).comm_adjacency == topo.comm_adjacency
+
+
+@pytest.mark.parametrize("keys", [
+    "radios_per_node = 1", "radios_per_node = 5", "channel_plan = overlapping",
+    "channel_plan = " + ";".join(["1,6"] * 8)])
+def test_mesh8_rejects_keys_its_fixed_channels_ignore(keys):
+    with pytest.raises(BuildError, match="mesh8 has two fixed channels per node"):
+        build_topology(parse_config("topology = mesh8\n" + keys))
 
 
 def test_flow_resolution():
