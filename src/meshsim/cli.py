@@ -1,20 +1,25 @@
 """Command line front end: run one scenario, sweep an axis, or dump the
 channel decision tables, all as byte-stable CSV.
 
-Exit codes: 0 success, 1 configuration problem, 2 runtime fault inside the
-simulator.  CSV goes to --out (default standard output); diagnostics go to
-standard error so the data stream stays clean.
+Before its first event every command checks its command line values, reads
+and checks its config, and opens (creates or empties) every output it was
+given, so a bad value or path costs no run.  Exit codes, set in `main` alone:
+0 success, 1 configuration problem (printed as `config error:` lines), 2
+runtime fault inside the simulator.  CSV goes to --out (default standard
+output); diagnostics go to standard error so the data stream stays clean.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import sys
 from typing import List, Optional, Sequence
 
 from .channel import classify, interference_factor
-from .config import ConfigError, ScenarioConfig, parse_config, parse_value
+from .config import ConfigError, parse_config, parse_value
 from .experiment import NUMERIC_COLUMNS, RunRow, execute, median_cells, sweep
 from .mac import SimulationFault, handle_rts_delay_tolerant, handle_rts_qos
 from .topology import BuildError
@@ -52,30 +57,42 @@ def _write_rows(out, lines: Sequence[str]):
         out.write(line + "\n")
 
 
-def _load_config(path: Optional[str], seed: Optional[str]) -> ScenarioConfig:
-    if path is None:
-        text = ""
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
+@contextlib.contextmanager
+def _file_errors(path: Optional[str]):
+    """A file that cannot be opened, read or decoded is a ConfigError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: {getattr(exc, 'strerror', None) or exc}"]) from None
+
+
+def _front_end(files: contextlib.ExitStack, config_path: Optional[str],
+               seed: Optional[str], *outputs: Optional[str]):
+    """The step every command takes before running anything: read and check
+    the config, then open each output, creating or emptying it.  Returns the
+    config and one file (None where no path was given) per output."""
+    named = [os.path.realpath(path) for path in (config_path, *outputs) if path]
+    if len(set(named)) < len(named):
+        raise ConfigError(["each input and output needs its own file"])
+    text = ""
+    if config_path is not None:
+        with _file_errors(config_path), open(config_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     config = parse_config(text)
     if seed is not None:
         config = dataclasses.replace(config, seed=parse_value("seed", seed))
-    return config
-
-
-def _config_error(exc: Exception) -> int:
-    """Report a configuration problem on standard error: each message of a
-    ConfigError, the exception's text otherwise.  Returns exit code 1."""
-    for message in exc.errors if isinstance(exc, ConfigError) else [exc]:
-        print(f"config error: {message}", file=sys.stderr)
-    return 1
+    opened = []
+    for path in outputs:
+        with _file_errors(path):
+            opened.append(files.enter_context(open(path, "w", encoding="utf-8"))
+                          if path else None)
+    return config, opened
 
 
 def _distinct(flag: str, values: List[int]) -> List[int]:
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ValueError(f"{flag} lists {value} more than once")
+            raise ConfigError([f"{flag} lists {value} more than once"])
     return values
 
 
@@ -91,67 +108,44 @@ def _parse_seeds(text: str) -> List[int]:
 
 
 def _parse_int_list(flag: str, text: str, minimum: int) -> List[int]:
-    values = _distinct(flag, [int(part) for part in text.split(",") if part.strip()])
-    for value in values:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError([f"{flag} must be a comma list of integers, got {text!r}"]) from None
+    for value in _distinct(flag, values):
         if value < minimum:
-            raise ValueError(f"{flag} values must be >= {minimum}, got {value}")
+            raise ConfigError([f"{flag} values must be >= {minimum}, got {value}"])
     return values
 
 
-def cmd_run(args) -> int:
-    try:
-        if args.config is not None and args.config_flag is not None:
-            raise ConfigError(["give one config path: positional or --config, not both"])
-        config = _load_config(args.config_flag or args.config, args.seed)
-    except (ConfigError, OSError) as exc:
-        return _config_error(exc)
-
-    trace_file = None
-    try:
-        if args.trace:
-            trace_file = open(args.trace, "w", encoding="utf-8")
-        try:
-            rows = execute(config, trace_file=trace_file)
-        except BuildError as exc:
-            return _config_error(exc)
-        except SimulationFault as exc:
-            print(f"runtime fault: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-
-    lines = [CSV_HEADER] + [",".join(_result_cells(r)) for r in rows]
-    _emit(args.out, lines)
-
-    if args.dump_routes:
-        route_lines = [ROUTES_HEADER]
-        for node_id, entry in rows[-1].result.route_rows:
-            route_lines.append(",".join([
-                str(node_id), str(entry.destination), str(entry.next_hop),
-                str(entry.hop_count), _fmt(entry.rtt_cost), _fmt(entry.expires_at),
-            ]))
-        with open(args.dump_routes, "w", encoding="utf-8") as fh:
-            _write_rows(fh, route_lines)
+def cmd_run(args, files: contextlib.ExitStack) -> int:
+    if args.config is not None and args.config_flag is not None:
+        raise ConfigError(["give one config path: positional or --config, not both"])
+    config, (out, trace, routes) = _front_end(
+        files, args.config_flag or args.config, args.seed,
+        args.out, args.trace, args.dump_routes)
+    rows = execute(config, trace_file=trace)
+    _write_rows(out or sys.stdout,
+                [CSV_HEADER] + [",".join(_result_cells(r)) for r in rows])
+    if routes:
+        _write_rows(routes, [ROUTES_HEADER] + [",".join([
+            str(node_id), str(entry.destination), str(entry.next_hop),
+            str(entry.hop_count), _fmt(entry.rtt_cost), _fmt(entry.expires_at),
+        ]) for node_id, entry in rows[-1].result.route_rows])
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, files: contextlib.ExitStack) -> int:
     if bool(args.hops) == bool(args.nodes):
-        print("sweep needs exactly one of --hops or --nodes", file=sys.stderr)
-        return 1
-    try:
-        config = _load_config(args.config_flag, None)
-        seeds = _parse_seeds(args.seeds)
-        # the least axis value that builds: a chain of hops + 1 nodes, or a
-        # random topology of n nodes, needs 2 nodes
-        axis, minimum = ("hops", 1) if args.hops else ("nodes", 2)
-        values = _parse_int_list(f"--{axis}", args.hops or args.nodes, minimum)
-    except (ConfigError, ValueError, OSError) as exc:
-        return _config_error(exc)
+        raise ConfigError(["sweep needs exactly one of --hops or --nodes"])
+    seeds = _parse_seeds(args.seeds)
+    # the least axis value that builds: a chain of hops + 1 nodes, or a
+    # random topology of n nodes, needs 2 nodes
+    axis, minimum = ("hops", 1) if args.hops else ("nodes", 2)
+    values = _parse_int_list(f"--{axis}", args.hops or args.nodes, minimum)
     if not values or not seeds:
-        print("sweep needs a nonempty axis and seed list", file=sys.stderr)
-        return 1
+        raise ConfigError(["sweep needs a nonempty axis and seed list"])
+    config, (out,) = _front_end(files, args.config_flag, None, args.out)
 
     rows, failures = sweep(config, axis, values, seeds)
     for message in failures:
@@ -160,9 +154,7 @@ def cmd_sweep(args) -> int:
         print("all sweep cells failed", file=sys.stderr)
         return 2
 
-    lines = [CSV_HEADER]
-    for _, row in rows:
-        lines.append(",".join(_result_cells(row)))
+    lines = [CSV_HEADER] + [",".join(_result_cells(row)) for _, row in rows]
     protocols = list(dict.fromkeys(row.protocol for _, row in rows))
     for value in values:
         for proto in protocols:
@@ -174,7 +166,7 @@ def cmd_sweep(args) -> int:
                 group[0].scenario, "", f"{proto}=median:",
                 *(_cell(med[name], count) for name, _, count in NUMERIC_COLUMNS),
                 ""]))
-    _emit(args.out, lines)
+    _write_rows(out or sys.stdout, lines)
     return 0
 
 
@@ -186,7 +178,8 @@ def _channel_matrix(name: str, cell) -> List[str]:
     return lines
 
 
-def cmd_channel_table(args) -> int:
+def cmd_channel_table(args, files: contextlib.ExitStack) -> int:
+    _, (out,) = _front_end(files, None, None, args.out)
     decide_qos = lambda mode: (
         lambda c1, c2: handle_rts_qos(c1, [c2], mode=mode).value)
     decide_dt = lambda mode: (
@@ -198,16 +191,8 @@ def cmd_channel_table(args) -> int:
     lines += _channel_matrix("qos_symmetric", decide_qos("symmetric"))
     lines += _channel_matrix("dt_literal", decide_dt("literal"))
     lines += _channel_matrix("dt_symmetric", decide_dt("symmetric"))
-    _emit(args.out, lines)
+    _write_rows(out or sys.stdout, lines)
     return 0
-
-
-def _emit(out_path: Optional[str], lines: Sequence[str]):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _write_rows(fh, lines)
-    else:
-        _write_rows(sys.stdout, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,8 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, close the files it opened, and map its errors to exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        with contextlib.ExitStack() as files:
+            return args.func(args, files)
+    except (ConfigError, BuildError) as exc:
+        for message in exc.errors if isinstance(exc, ConfigError) else [exc]:
+            print(f"config error: {message}", file=sys.stderr)
+        return 1
+    except SimulationFault as exc:
+        print(f"runtime fault: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ table and the command line's seed flags all follow those declarations.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
@@ -68,12 +69,14 @@ def _integer(minimum=None, maximum=None):
 
 
 def _number(unit: str = "", reject=None, requirement: str = ""):
-    """A float; reject(value) true means the value breaks `requirement`."""
+    """A finite float; reject(value) true means the value breaks `requirement`."""
     def parse(raw: str, key: str) -> float:
         try:
             value = float(raw)
         except ValueError:
             raise _Invalid(f"{key} must be a number{unit}, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise _Invalid(f"{key} must be a finite number{unit}, got {raw!r}")
         if reject is not None and reject(value):
             raise _Invalid(f"{key} must be {requirement}")
         return value

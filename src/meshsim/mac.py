@@ -144,13 +144,6 @@ def hop_delay(ts: QueueTimestamps, size_bytes: int, rate_bps: float):
             queue_delay + contention_delay + transmission_delay)
 
 
-def weighted_hop_cost(ts: QueueTimestamps, alpha: float) -> float:
-    """Blend of queue and contention delay; alpha=0 is queue-only, 1 contention-only."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    return (1.0 - alpha) * (ts.t_h - ts.t_i) + alpha * (ts.t_next - ts.t_h)
-
-
 class BackoffOutcome(enum.Enum):
     BUSY = "Busy"
     SUCCESS = "Success"

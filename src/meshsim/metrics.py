@@ -6,6 +6,8 @@ The restitution ratio divides the baseline throughput by the re-routed
 throughput, so values fall in [0, 1] when re-routing wins; 1 means the
 reroute changed nothing (perfectly elastic), 0 means the baseline moved no
 traffic at all, and above 1 means re-routing lost throughput (a regression).
+A re-routed run that moved nothing while the baseline moved traffic has no
+finite ratio: it is a regression with no cor.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class CollisionClass(enum.Enum):
 class CorReport:
     before: float           # re-routed throughput, Kbps (the divisor)
     after: float            # baseline throughput, Kbps (the dividend)
-    cor: float
-    energy_ratio: float
+    cor: Optional[float]            # None: only the baseline moved traffic
+    energy_ratio: Optional[float]
     collision_class: CollisionClass
 
 
@@ -86,14 +88,16 @@ def classify_collision(cor_value: float) -> CollisionClass:
 
 def make_cor_report(baseline_kbps: float, rerouted_kbps: float) -> CorReport:
     ratio = cor(baseline_kbps, rerouted_kbps)
-    if ratio is None:
+    if ratio is None and baseline_kbps <= 0:
         ratio = 0.0   # nothing moved in either run: fully inelastic
+    # still None: only the baseline moved traffic, so rerouting lost all of it
     return CorReport(
         before=rerouted_kbps,
         after=baseline_kbps,
         cor=ratio,
-        energy_ratio=energy_ratio(ratio),
-        collision_class=classify_collision(ratio),
+        energy_ratio=None if ratio is None else energy_ratio(ratio),
+        collision_class=(CollisionClass.REGRESSION if ratio is None
+                         else classify_collision(ratio)),
     )
 
 

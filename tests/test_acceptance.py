@@ -18,8 +18,7 @@ from meshsim.config import parse_config
 from meshsim.engine import Sim
 from meshsim.experiment import corciar_run, median_cells, sweep
 from meshsim.mac import (QueueTimestamps, RtsDecision, handle_rts_qos,
-                         handle_rts_delay_tolerant, hop_delay,
-                         weighted_hop_cost)
+                         handle_rts_delay_tolerant, hop_delay)
 from meshsim.metrics import cor
 from meshsim.routing import RouteMetric, RttEstimator, converge_potentials, \
     next_hop_select
@@ -134,8 +133,6 @@ def test_hop_delay_decomposition():
         assert queue >= 0.0 and contention >= 0.0 and transmission >= 0.0
         assert abs((queue + contention) - (t_next - t_i)) <= 1e-9
         assert total == queue + contention + transmission
-        assert weighted_hop_cost(ts, 0.0) == queue
-        assert weighted_hop_cost(ts, 1.0) == contention
     assert hop_delay(QueueTimestamps(0.0, 0.0, 0.0), 1000, 1e6)[2] == 0.008
     print("\nhop delay: 10000 random triples decompose consistently, "
           "1000 B at 1 Mbps serializes in exactly 8 ms")

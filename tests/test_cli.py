@@ -1,9 +1,11 @@
 """Command line contract: CSV shapes, exit codes, byte stability, and the
 channel decision tables."""
 
+import argparse
 import hashlib
 import os
 import pickle
+import re
 import signal
 from pathlib import Path
 
@@ -73,6 +75,13 @@ def test_run_rejects_alpha_as_unknown_key(tmp_path, capsys):
     assert captured.err == "config error: line 1: unknown key 'alpha'\n"
 
 
+# a config written in Latin-1: its "é" (0xe9) is not valid UTF-8
+LATIN1_CFG = "seed = 1  # caf\xe9\n".encode("latin-1")
+NOT_UTF8 = "{tmp}/latin1.cfg: 'utf-8' codec can't decode byte 0xe9 in position 15: " \
+           "invalid continuation byte"
+NO_DIR = "{tmp}/missing/out: No such file or directory"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["run", "--seed=-5"], "seed must be >= 0, got -5"),
     (["run", "--seed", "five"], "seed must be an integer, got 'five'"),
@@ -85,18 +94,69 @@ def test_run_rejects_alpha_as_unknown_key(tmp_path, capsys):
      "give one config path: positional or --config, not both"),
     (["sweep", "--hops", "2,0", "--seeds", "1"], "--hops values must be >= 1, got 0"),
     (["sweep", "--nodes", "1", "--seeds", "1"], "--nodes values must be >= 2, got 1"),
+    (["sweep", "--hops", "2,x", "--seeds", "1"],
+     "--hops must be a comma list of integers, got '2,x'"),
+    (["sweep", "--seeds", "1"], "sweep needs exactly one of --hops or --nodes"),
+    (["sweep", "--hops", "2", "--nodes", "20", "--seeds", "1"],
+     "sweep needs exactly one of --hops or --nodes"),
+    (["sweep", "--hops", ",", "--seeds", "1"], "sweep needs a nonempty axis and seed list"),
+    (["run", "--out", "{tmp}/missing/out"], NO_DIR),
+    (["run", "--trace", "{tmp}/missing/out"], NO_DIR),
+    (["run", "--dump-routes", "{tmp}/missing/out"], NO_DIR),
+    (["sweep", "--hops", "2", "--seeds", "1", "--out", "{tmp}/missing/out"], NO_DIR),
+    (["channel-table", "--out", "{tmp}/missing/out"], NO_DIR),
+    (["run", "{tmp}/latin1.cfg"], NOT_UTF8),
+    (["run", "--out", "{tmp}/x.csv", "--trace", "{tmp}/./x.csv"],
+     "each input and output needs its own file"),
+    (["run", "{tmp}/latin1.cfg", "--dump-routes", "{tmp}/latin1.cfg"],
+     "each input and output needs its own file"),
+    (["sweep", "--config", "{tmp}/latin1.cfg", "--hops", "2", "--seeds", "1"], NOT_UTF8),
 ], ids=["run-negative-seed", "run-text-seed", "sweep-negative-seed",
         "sweep-negative-range", "repeated-hops", "repeated-nodes", "repeated-seeds",
-        "run-two-configs", "sweep-zero-hops", "sweep-one-node"])
-def test_command_line_values_checked_before_running(argv, message, capsys, monkeypatch):
+        "run-two-configs", "sweep-zero-hops", "sweep-one-node", "sweep-text-hops",
+        "sweep-no-axis", "sweep-two-axes", "sweep-empty-axis", "run-out-no-dir",
+        "run-trace-no-dir", "run-routes-no-dir", "sweep-out-no-dir", "table-out-no-dir",
+        "run-config-not-utf8", "run-out-is-trace", "run-routes-is-config",
+        "sweep-config-not-utf8"])
+def test_command_line_values_checked_before_running(argv, message, tmp_path, capsys,
+                                                    monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran a scenario despite a bad command line value")
     monkeypatch.setattr(cli, "execute", must_not_run)
     monkeypatch.setattr(cli, "sweep", must_not_run)
-    assert cli.main(argv) == 1
+    (tmp_path / "latin1.cfg").write_bytes(LATIN1_CFG)
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
+    assert captured.err == f"config error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_outputs_are_created_before_the_run(tmp_path, capsys, monkeypatch):
+    paths = [tmp_path / name for name in ("rows.csv", "events.log", "routes.csv")]
+    paths[0].write_text("rows of an earlier run\n")
+
+    def fault(config, trace_file=None):
+        assert all(p.exists() and p.read_text() == "" for p in paths)
+        raise SimulationFault("synthetic fault")
+
+    monkeypatch.setattr(cli, "execute", fault)
+    assert cli.main(["run", "--out", str(paths[0]), "--trace", str(paths[1]),
+                     "--dump-routes", str(paths[2])]) == 2
+    assert capsys.readouterr().err == "runtime fault: synthetic fault\n"
+    assert [p.read_text() for p in paths] == ["", "", ""]
+
+
+def test_readme_documents_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for command in commands.choices.values()
+               for action in command._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert len(options) == 8
+    for option in sorted(options):
+        # --seed must not pass on the strength of --seeds
+        assert re.search(re.escape(option) + r"(?![\w-])", readme), option
 
 
 def test_run_rejects_missing_file(capsys):

@@ -159,6 +159,16 @@ ERROR_MESSAGES = [
     ("jammer_on_s = 0", "line 1: jammer_on_s must be positive seconds"),
     ("jammer_off_s = -1", "line 1: jammer_off_s must be positive seconds"),
     ("jammer_off_s = x", "line 1: jammer_off_s must be a number (seconds), got 'x'"),
+    ("sim_time_s = inf", "line 1: sim_time_s must be a finite number (seconds), got 'inf'"),
+    ("data_rate_bps = nan", "line 1: data_rate_bps must be a finite number (bits/second), "
+                            "got 'nan'"),
+    ("delta = nan", "line 1: delta must be a finite number, got 'nan'"),
+    ("theta = -inf", "line 1: theta must be a finite number, got '-inf'"),
+    ("jammer_x = nan", "line 1: jammer_x must be a finite number (meters), got 'nan'"),
+    ("jammer_y = 1e999", "line 1: jammer_y must be a finite number (meters), got '1e999'"),
+    ("jammer_on_s = nan", "line 1: jammer_on_s must be a finite number (seconds), got 'nan'"),
+    ("jammer_off_s = inf", "line 1: jammer_off_s must be a finite number (seconds), "
+                           "got 'inf'"),
     ("seed = 1\nseed = 2", "line 2: duplicate key seed (first set on line 1)"),
     ("windwo = 2", "line 1: unknown key 'windwo'"),
     ("topology chain(3)  # no equals sign",

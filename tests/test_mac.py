@@ -18,7 +18,6 @@ from meshsim.mac import (
     handle_rts_delay_tolerant,
     handle_rts_qos,
     hop_delay,
-    weighted_hop_cost,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -136,15 +135,6 @@ def test_hop_delay_requires_stamps_and_rate():
         hop_delay(QueueTimestamps(t_i=0.0), 1000, 1_000_000)
     with pytest.raises(ValueError):
         hop_delay(QueueTimestamps(t_i=0.0, t_h=0.0, t_next=0.0), 1000, 0)
-
-
-def test_weighted_hop_cost():
-    ts = QueueTimestamps(t_i=1.0, t_h=1.2, t_next=1.25)
-    assert weighted_hop_cost(ts, 0.0) == pytest.approx(0.2)
-    assert weighted_hop_cost(ts, 1.0) == pytest.approx(0.05)
-    assert weighted_hop_cost(ts, 0.5) == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        weighted_hop_cost(ts, 1.5)
 
 
 def test_backoff_window_doubles_then_caps():

@@ -116,6 +116,15 @@ def test_cor_report_assembly():
     assert dead.cor == 0.0 and dead.collision_class is CollisionClass.INELASTIC
 
 
+def test_rerouted_phase_that_moved_nothing_is_a_regression():
+    # the baseline moved traffic and rerouting lost all of it: no finite
+    # ratio, so the cor cell stays empty rather than reading Inelastic's 0
+    lost = make_cor_report(baseline_kbps=100.0, rerouted_kbps=0.0)
+    assert lost.collision_class is CollisionClass.REGRESSION
+    assert lost.cor is None and lost.energy_ratio is None
+    assert lost.after == 100.0 and lost.before == 0.0
+
+
 def test_delivery_ratio():
     def ratio(stats):
         return summarize([stats], duration=100.0, protocol_label="x").delivery_ratio
