@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
+import itertools
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION
@@ -114,6 +115,17 @@ REROUTE_GAIN = 0.8
 TIMEOUT_SLACK_S = 2 * SLOT_TIME
 # one line of the event trace: time, label, node; its bytes feed the trace hash
 TRACE_LINE = "%.9f %s n%s\n"
+# the loop formats only an event's time; the rest of its line, the tag, is
+# formatted once per (label, node) and carried by the heap entry
+_TIME_FORMAT, _TAG_FORMAT = TRACE_LINE.split(" ", 1)
+_LINE_FORMAT = (_TIME_FORMAT + "%b").encode()
+
+
+@functools.lru_cache(maxsize=None)
+def trace_tag(label: str, node: int) -> bytes:
+    """The bytes that follow the time in an event's trace line; cached, one
+    entry per label and node id, a handful of labels per node."""
+    return (" " + _TAG_FORMAT % (label, node)).encode()
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,7 +275,7 @@ class Sim:
         self.rng = random.Random(config.seed)
         self.now = 0.0
         self._heap: List[tuple] = []
-        self._ordinal = 0
+        self._ordinals = itertools.count()   # same-time events run in scheduling order
         self._uid = 0
         self._hash = hashlib.sha256()
         self._trace_file = trace_file
@@ -279,6 +291,7 @@ class Sim:
         self.rts_air = self._air(RTS_BYTES)
         self.cts_air = self._air(CTS_BYTES)
         self.mac_ack_air = self._air(MAC_ACK_BYTES)
+        self.data_air = self._air(config.packet_size_bytes)
         self.rts_decide = rts_handler(config.traffic_class)
         self.rts_mode = config.rts_mode
 
@@ -332,8 +345,7 @@ class Sim:
     def schedule(self, t: float, label: str, node: int, fn, *args):
         if t < self.now:
             raise SimulationFault(f"scheduling into the past: {t} < {self.now}")
-        heapq.heappush(self._heap, (t, self._ordinal, label, node, fn, args))
-        self._ordinal += 1
+        heappush(self._heap, (t, next(self._ordinals), trace_tag(label, node), fn, args))
 
     def _air(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.rate
@@ -355,8 +367,9 @@ class Sim:
         on_air = self.on_air
         ends = self.on_air_ends
         expired = bisect_right(ends, self.now - self.horizon)
-        del on_air[:expired]
-        del ends[:expired]
+        if expired:
+            del on_air[:expired]
+            del ends[:expired]
         at = bisect_right(ends, t_end)
         on_air.insert(at, tx)
         ends.insert(at, t_end)
@@ -440,7 +453,8 @@ class Sim:
         return True
 
     def _backoff_wait(self, radio: RadioState) -> float:
-        return DIFS + self.rng.randint(0, radio.backoff.cw) * SLOT_TIME
+        # randrange(cw + 1) draws what randint(0, cw) draws, more cheaply
+        return DIFS + self.rng.randrange(radio.backoff.cw + 1) * SLOT_TIME
 
     def _try_access(self, radio: RadioState):
         radio.access_pending = False
@@ -465,12 +479,15 @@ class Sim:
     def _rts_arrival(self, rx_radio: RadioState, tx_radio: RadioState, frame: Frame):
         if rx_radio.exchange is not None or self.now < rx_radio.rx_engaged_until:
             return
-        active = sorted(r.channel for r in self.nodes[rx_radio.node_id].radios
-                        if r is not rx_radio
-                        and (r.exchange is not None or r.rx_engaged_until > self.now))
-        if active and self.rts_decide(rx_radio.channel, active,
-                                      mode=self.rts_mode) is RtsDecision.DEFER:
-            return
+        active = [r.channel for r in self.nodes[rx_radio.node_id].radios
+                  if r is not rx_radio
+                  and (r.exchange is not None or r.rx_engaged_until > self.now)]
+        if active:
+            if len(active) > 1:
+                active.sort()
+            if self.rts_decide(rx_radio.channel, active,
+                               mode=self.rts_mode) is RtsDecision.DEFER:
+                return
         rx_radio.rx_engaged_until = (self.now + SIFS + self.cts_air + SIFS
                                      + self._air(frame.size_bytes) + SIFS
                                      + self.mac_ack_air + TIMEOUT_SLACK_S)
@@ -510,8 +527,7 @@ class Sim:
             # does not poison the link estimate, and rescaled to the nominal
             # data size so probe samples and data samples are comparable
             raw = rtt_sample(entry.ts.t_h, self.now)
-            adjust = (self._air(self.config.packet_size_bytes)
-                      - self._air(entry.frame.size_bytes)) * 1000.0
+            adjust = (self.data_air - self._air(entry.frame.size_bytes)) * 1000.0
             records = self.nodes[tx_radio.node_id].records
             neighbor_record(records, entry.frame.dst,
                             self.config.delta).link_estimator.update(raw + adjust)
@@ -808,28 +824,30 @@ class Sim:
                               self.flows[flow_id].src, self._fill_window,
                               self.flows[flow_id])
         heap = self._heap
-        heappop = heapq.heappop
         hash_update = self._hash.update
         write = self._trace_file.write if self._trace_file is not None else None
+        line_format = _LINE_FORMAT
+        dispatched = 0
         while heap and heap[0][0] <= sim_time:
-            t, _, label, node, fn, args = heappop(heap)
+            t, _, tag, fn, args = heappop(heap)
             if t < self.now:
                 raise SimulationFault("event clock moved backwards")
             self.now = t
-            self.dispatched += 1
-            line = TRACE_LINE % (t, label, node)
-            hash_update(line.encode())
+            dispatched += 1
+            line = line_format % (t, tag)
+            hash_update(line)
             if write is not None:
-                write(line)
+                write(line.decode())
             fn(*args)
+        self.dispatched = dispatched
         # the events left over hold bound methods of this Sim; dropping them
         # breaks that cycle, so a finished run is freed without the collector
         heap.clear()
         self.now = sim_time
-        line = TRACE_LINE % (sim_time, "SimEnd", -1)
-        hash_update(line.encode())
+        line = line_format % (sim_time, trace_tag("SimEnd", -1))
+        hash_update(line)
         if write is not None:
-            write(line)
+            write(line.decode())
         self._check_conservation()
         return self._result()
 

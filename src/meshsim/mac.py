@@ -43,7 +43,7 @@ class FrameKind(enum.Enum):
     HELLO = "HELLO"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: FrameKind
     src: int
@@ -109,7 +109,7 @@ def rts_handler(traffic_class: str):
     raise ValueError(f"unknown traffic class {traffic_class!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueTimestamps:
     """Arrival, head-of-queue, and handed-to-medium instants for one frame."""
 
@@ -165,7 +165,7 @@ class BackoffState:
         if outcome is BackoffOutcome.SUCCESS:
             self.reset()
             return 0
-        wait = rng.randint(0, self.cw)
+        wait = rng.randrange(self.cw + 1)     # the draw of randint(0, cw)
         self.cw = min(2 * self.cw + 1, CW_MAX)
         self.retries += 1
         return wait

@@ -60,23 +60,28 @@ class Topology:
         # below visits nodes in id order, so each list comes out sorted
         self.interference_candidates: Dict[int, List[int]] = {
             n.node_id: [] for n in self.nodes}
+        reach = INTERFERENCE_RANGE_M
         for i, a in enumerate(self.nodes):
+            u, ax, ay = a.node_id, a.x, a.y
             for b in self.nodes[i + 1:]:
-                u, v = a.node_id, b.node_id
-                d = math.hypot(a.x - b.x, a.y - b.y)
-                if d <= TX_RANGE_M and self.shared_channels(u, v):
+                dx = ax - b.x
+                dy = ay - b.y
+                # hypot is never below |dx| or |dy|: a pair farther apart
+                # than the interference range on one axis is out of both ranges
+                if not (-reach <= dx <= reach and -reach <= dy <= reach):
+                    continue
+                v = b.node_id
+                d = math.hypot(dx, dy)
+                if d <= TX_RANGE_M and not set(a.channels).isdisjoint(b.channels):
                     self.comm_adjacency[u].add(v)
                     self.comm_adjacency[v].add(u)
-                if d <= INTERFERENCE_RANGE_M:
+                if d <= reach:
                     self.interference_candidates[u].append(v)
                     self.interference_candidates[v].append(u)
 
     def distance(self, u: int, v: int) -> float:
         a, b = self.by_id[u], self.by_id[v]
         return math.hypot(a.x - b.x, a.y - b.y)
-
-    def shared_channels(self, u: int, v: int) -> List[int]:
-        return sorted(set(self.by_id[u].channels) & set(self.by_id[v].channels))
 
     def node_ids(self) -> List[int]:
         return [n.node_id for n in self.nodes]
@@ -153,8 +158,10 @@ def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
     nodes = [Node(node_id=i, x=CHAIN_SPACING_M * i, y=0.0, channels=channels[i])
              for i in range(n)]
     topo = Topology(nodes, gateway=n - 1, width=width)
+    # neighbours sit CHAIN_SPACING_M apart, within TX_RANGE_M, so a link is
+    # in the communication graph exactly when its nodes share a channel
     for i in range(n - 1):
-        if not topo.shared_channels(i, i + 1):
+        if i + 1 not in topo.comm_adjacency[i]:
             raise BuildError(f"chain link {i}-{i + 1} has no shared channel under "
                              f"this channel plan")
     return topo

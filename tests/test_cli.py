@@ -13,7 +13,7 @@ import pytest
 
 from meshsim import cli, experiment
 from meshsim.config import ScenarioConfig, TopologySpec, parse_config
-from meshsim.engine import Sim
+from meshsim.engine import TRACE_LINE, Sim
 from meshsim.experiment import config_for_axis, median_cells, sweep
 from meshsim.mac import SimulationFault
 
@@ -50,6 +50,12 @@ def test_readme_csv_columns_match_header():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("CSV columns:\n\n```\n") + len("CSV columns:\n\n```\n")
     assert readme[start:readme.index("\n", start)] == cli.CSV_HEADER
+
+
+def test_readme_trace_format_is_the_engine_constant():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = TRACE_LINE.replace("\n", "\\n")
+    assert f"`{documented}` (`meshsim.engine.TRACE_LINE`)" in readme.replace("\n", " ")
 
 
 def test_run_seed_flag_overrides_config(tmp_path, capsys):

@@ -5,17 +5,19 @@ import gc
 import hashlib
 import io
 import math
+import random
 import time
 import weakref
 
 import pytest
 
-from meshsim import engine
+from meshsim import cli, engine
 from meshsim.channel import interference_factor
-from meshsim.config import ScenarioConfig, TopologySpec
-from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, Sim
+from meshsim.config import ScenarioConfig, TopologySpec, parse_config
+from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, TRACE_LINE, Sim
 from meshsim.experiment import corciar_run, execute
-from meshsim.mac import SimulationFault
+from meshsim.mac import (CW_MAX, CW_MIN, DIFS, SLOT_TIME, BackoffOutcome,
+                         BackoffState, SimulationFault)
 from meshsim.metrics import CollisionClass
 from meshsim.routing import RouteMetric, RouteTable
 from meshsim.topology import INTERFERENCE_RANGE_M
@@ -198,6 +200,56 @@ def test_trace_stream_is_ordered():
                       "FlowSendWindow", "RtoExpiry", "SimEnd"}
 
 
+def test_trace_file_matches_in_memory_trace(tmp_path):
+    # both phases of a cell with two-digit node ids, pcl beacons and a jammer
+    text = ("topology = random(12)\nchannel_plan = pcl\njammer_channel = 1\n"
+            "jammer_x = 700\njammer_y = 400\nsim_time_s = 8\nseed = 2\n")
+    config_path = tmp_path / "scenario.cfg"
+    config_path.write_text(text, encoding="utf-8")
+    trace = tmp_path / "events.log"
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "rows.csv"),
+                     "--trace", str(trace)]) == 0
+    buf = io.StringIO()
+    rows = execute(parse_config(text), trace_file=buf)
+    data = trace.read_bytes()
+    assert data == buf.getvalue().encode()
+    hashes, phase, labels, nodes = [], hashlib.sha256(), set(), set()
+    for line in data.decode().splitlines(keepends=True):
+        time_s, label, node = line.split()
+        assert line == TRACE_LINE % (float(time_s), label, node[1:])
+        labels.add(label)
+        nodes.add(int(node[1:]))
+        phase.update(line.encode())
+        if label == "SimEnd":
+            hashes.append(phase.hexdigest())
+            phase = hashlib.sha256()
+    assert hashes == [row.result.trace_hash for row in rows]
+    assert len(hashes) == 2
+    assert labels == {"FrameArrival", "TimerFire", "HelloTick", "BeaconTick",
+                      "FlowSendWindow", "RtoExpiry", "SimEnd"}
+    assert nodes == set(range(-1, 12))
+
+
+def test_backoff_draws_match_randint():
+    # the backoff draws randrange(cw + 1), which must give randint(0, cw)'s
+    # stream at every window from CW_MIN up to CW_MAX
+    backoff, rng, ref = BackoffState(), random.Random(5), random.Random(5)
+    windows = []
+    for _ in range(200):
+        cw = backoff.cw
+        windows.append(cw)
+        assert backoff.next(BackoffOutcome.BUSY, rng) == ref.randint(0, cw)
+        if backoff.retries == 8:
+            backoff.reset()
+    assert sorted(set(windows)) == [CW_MIN, 63, 127, 255, 511, CW_MAX]
+    sim = Sim(chain_cfg(2), RouteMetric.HOP_COUNT, "x")
+    radio = sim.nodes[0].radios[0]
+    ref.setstate(sim.rng.getstate())
+    for cw in windows:
+        radio.backoff.cw = cw
+        assert sim._backoff_wait(radio) == DIFS + ref.randint(0, cw) * SLOT_TIME
+
+
 def test_chain_phases_tie_exactly():
     baseline, rerouted, report = corciar_run(chain_cfg(4, sim_time_s=6.0))
     assert baseline.summary.throughput_kbps == rerouted.summary.throughput_kbps
@@ -275,8 +327,8 @@ def test_pcl_beacon_claims_lowest_unclaimed_channel():
     assert claimed() == [set(), {1}, {1}, {1}, set()]
     assert [r.channel for r in nodes[0].radios] == [1, 1]
     assert sim.counters["pcl_retunes"] == 1
-    assert [(t, label, node) for t, _, label, node, *_ in sim._heap] \
-        == [(BEACON_INTERVAL_S, "BeaconTick", 0)]
+    assert [(t, tag) for t, _, tag, *_ in sim._heap] \
+        == [(BEACON_INTERVAL_S, b" BeaconTick n0\n")]
 
     # node 1 skips the channel node 0 claimed
     sim._beacon_tick(1)

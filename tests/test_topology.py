@@ -1,16 +1,27 @@
 """Placement, channel assignment, and communication-graph derivation."""
 
+import math
+import random
+
 import pytest
 
 from meshsim.config import parse_config
 from meshsim.topology import (
+    INTERFERENCE_RANGE_M,
+    TX_RANGE_M,
     BuildError,
+    Node,
+    Topology,
     build_chain,
     build_mesh8,
     build_random,
     build_topology,
     resolve_flows,
 )
+
+
+def shared_channels(topo, u, v):
+    return sorted(set(topo.by_id[u].channels) & set(topo.by_id[v].channels))
 
 
 def test_chain_positions_and_gateway():
@@ -34,9 +45,9 @@ def test_chain_range_geometry():
 
 def test_chain_link_channels_follow_cycle():
     topo = build_chain(5, 2, "orthogonal")
-    assert [topo.shared_channels(i, i + 1)[0] for i in range(4)] == [1, 6, 11, 1]
+    assert [shared_channels(topo, i, i + 1)[0] for i in range(4)] == [1, 6, 11, 1]
     over = build_chain(5, 2, "overlapping")
-    assert [over.shared_channels(i, i + 1)[0] for i in range(4)] == [1, 3, 5, 1]
+    assert [shared_channels(over, i, i + 1)[0] for i in range(4)] == [1, 3, 5, 1]
 
 
 def test_chain_eleven_nodes_fits_standard_area():
@@ -49,8 +60,8 @@ def test_chain_eleven_nodes_fits_standard_area():
 
 def test_chain_explicit_plan():
     topo = build_chain(3, 2, "3,6;6,9;9,3")
-    assert topo.shared_channels(0, 1)[0] == 6
-    assert topo.shared_channels(1, 2)[0] == 9
+    assert shared_channels(topo, 0, 1)[0] == 6
+    assert shared_channels(topo, 1, 2)[0] == 9
     with pytest.raises(BuildError):
         build_chain(3, 2, "1,6;6,1")             # wrong group count
     with pytest.raises(BuildError):
@@ -76,7 +87,7 @@ def test_random_named_plan_always_shares_a_channel():
     for u in ids:
         for v in ids:
             if u < v:
-                assert topo.shared_channels(u, v)
+                assert shared_channels(topo, u, v)
 
 
 def test_random_impossible_density_fails_with_diagnostic():
@@ -93,10 +104,10 @@ def test_mesh8_paths_and_isolation():
     assert topo.comm_adjacency[4] == {5, 6}
     assert topo.comm_adjacency[7] == {5, 6}
     assert topo.comm_adjacency[6] == {7, 4}
-    assert topo.shared_channels(5, 4)[0] == 1
-    assert topo.shared_channels(5, 7)[0] == 7
-    assert topo.shared_channels(7, 6)[0] == 11
-    assert topo.shared_channels(6, 4)[0] == 6
+    assert shared_channels(topo, 5, 4)[0] == 1
+    assert shared_channels(topo, 5, 7)[0] == 7
+    assert shared_channels(topo, 7, 6)[0] == 11
+    assert shared_channels(topo, 6, 4)[0] == 6
     # every detour channel sits at least 5 away from the direct link's channel
     for ch in (7, 11, 6):
         assert abs(ch - 1) >= 5
@@ -133,3 +144,65 @@ def test_flow_resolution():
     cfg = parse_config("topology = chain(4)\nflows = 1>9")
     with pytest.raises(BuildError):
         resolve_flows(cfg, build_topology(cfg))
+
+
+def brute_force_tables(nodes):
+    """Both neighbour tables from a scan of every ordered pair."""
+    comm = {a.node_id: set() for a in nodes}
+    candidates = {a.node_id: [] for a in nodes}
+    for a in nodes:
+        for b in nodes:
+            if a is b:
+                continue
+            d = math.hypot(a.x - b.x, a.y - b.y)
+            if d <= TX_RANGE_M and set(a.channels) & set(b.channels):
+                comm[a.node_id].add(b.node_id)
+            if d <= INTERFERENCE_RANGE_M:
+                candidates[a.node_id].append(b.node_id)
+    return comm, {u: sorted(vs) for u, vs in candidates.items()}
+
+
+def assert_tables_match_brute_force(topo):
+    comm, candidates = brute_force_tables(topo.nodes)
+    assert topo.comm_adjacency == comm
+    assert topo.interference_candidates == candidates
+
+
+@pytest.mark.parametrize("n", [20, 40, 100])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_neighbour_tables_match_brute_force_on_random_layouts(n, seed):
+    assert_tables_match_brute_force(build_random(n, seed, 2, "orthogonal"))
+    # one or two radios on any channels, so some pairs in range share none
+    rng = random.Random(seed)
+    nodes = [Node(i, rng.uniform(0.0, 1500.0), rng.uniform(0.0, 800.0),
+                  tuple(rng.sample(range(1, 12), rng.randint(1, 2))))
+             for i in range(n)]
+    assert_tables_match_brute_force(Topology(nodes, gateway=0))
+
+
+def test_neighbour_tables_at_the_range_boundaries():
+    beyond = math.nextafter(INTERFERENCE_RANGE_M, math.inf)
+    assert math.hypot(150.0, 200.0) == TX_RANGE_M
+    assert math.hypot(330.0, 440.0) == INTERFERENCE_RANGE_M
+    nodes = [
+        Node(0, 0.0, 0.0, (1, 6)),
+        Node(1, 250.0, 0.0, (6, 11)),        # 250 m along x, sharing 6
+        Node(2, 150.0, 200.0, (2, 9)),       # 250 m diagonally, sharing none
+        Node(3, 550.0, 0.0, (1, 6)),         # 550 m along x
+        Node(4, 330.0, 440.0, (1, 6)),       # 550 m diagonally
+        Node(5, beyond, 0.0, (1, 6)),        # just beyond 550 m along x
+        Node(6, 0.0, beyond, (1, 6)),        # just beyond 550 m along y
+        Node(7, 1100.0, 700.0, (1, 6)),
+        Node(8, 550.0, 700.0, (1, 6)),       # |dx| = 550, dy = 0, from node 7
+        Node(9, beyond, 400.0, (1, 6)),
+        Node(10, 0.0, 400.0, (1, 6)),        # just beyond, from node 9
+        Node(11, 1400.0, beyond, (1, 6)),
+        Node(12, 1400.0, 0.0, (1, 6)),       # just beyond along y, from node 11
+    ]
+    topo = Topology(nodes, gateway=0)
+    assert_tables_match_brute_force(topo)
+    comm, candidates = topo.comm_adjacency, topo.interference_candidates
+    assert 1 in comm[0] and 2 not in comm[0] and 2 in candidates[0]
+    assert 3 in candidates[0] and 4 in candidates[0] and 3 not in comm[0]
+    assert 5 not in candidates[0] and 6 not in candidates[0]
+    assert 8 in candidates[7] and 10 not in candidates[9] and 12 not in candidates[11]
