@@ -185,27 +185,11 @@ class Exchange:
         self.state = state          # "wait_cts" | "wait_ack"
 
 
-class RadioState(MacRadioState):
-    """One radio: the MAC's channel, queue and backoff, plus the engine's
-    handshake and reception state."""
-
-    def __init__(self, node_id: int, channel: int, capacity: int):
-        super().__init__(channel=channel, capacity=capacity)
-        self.node_id = node_id
-        self.exchange: Optional[Exchange] = None
-        self.rx_engaged_until = 0.0
-        self.access_pending = False
-        # last frame uid handed up, per sending node: a sender retries one
-        # head frame until it pops it, so one slot per sender suffices to
-        # drop the duplicates that lost acknowledgements produce
-        self.delivered_uid_from: Dict[int, int] = {}
-
-
 class NodeState:
     __slots__ = ("radios", "records", "route_table", "cum_rtt_advert", "claimed")
 
     def __init__(self, node_id: int, channels, capacity: int, use_pcl: bool):
-        self.radios = [RadioState(node_id, ch, capacity) for ch in channels]
+        self.radios = [MacRadioState(node_id, ch, capacity) for ch in channels]
         self.records: Dict[int, NeighborRecord] = {}
         self.route_table = RouteTable()
         self.cum_rtt_advert = math.inf
@@ -354,7 +338,7 @@ class Sim:
         self._uid += 1
         return self._uid
 
-    def _radio_on_channel(self, node_id: int, channel: int) -> Optional[RadioState]:
+    def _radio_on_channel(self, node_id: int, channel: int) -> Optional[MacRadioState]:
         for r in self.nodes[node_id].radios:
             if r.channel == channel:
                 return r
@@ -405,7 +389,7 @@ class Sim:
         return node_id in self.jammed and self.jammer.channel in conflicting \
             and self.jammer.overlaps(t0, t1)
 
-    def _transmit(self, sender: RadioState, receiver: Optional[RadioState],
+    def _transmit(self, sender: MacRadioState, receiver: Optional[MacRadioState],
                   start: float, airtime: float, on_arrival, *args) -> float:
         """Put one frame on the air from start for airtime seconds; unless
         receiver is None, it reaches on_arrival(receiver, *args) there if it
@@ -417,7 +401,7 @@ class Sim:
                           self._receive, receiver, tx, on_arrival, args)
         return tx.t_end
 
-    def _receive(self, radio: RadioState, tx: Transmission, on_arrival, args):
+    def _receive(self, radio: MacRadioState, tx: Transmission, on_arrival, args):
         if self.corrupted(radio.node_id, radio.channel, tx):
             self.corrupted_receptions += 1
             return
@@ -425,7 +409,7 @@ class Sim:
 
     # -- MAC access machinery ----------------------------------------------
 
-    def kick(self, radio: RadioState, at: float):
+    def kick(self, radio: MacRadioState, at: float):
         """Schedule one access attempt at `at`, unless the radio is busy in
         a handshake, already has one pending, or has nothing to send."""
         if radio.exchange is not None or radio.access_pending or not radio.queue:
@@ -452,11 +436,11 @@ class Sim:
         self.kick(radio, self.now)
         return True
 
-    def _backoff_wait(self, radio: RadioState) -> float:
+    def _backoff_wait(self, radio: MacRadioState) -> float:
         # randrange(cw + 1) draws what randint(0, cw) draws, more cheaply
         return DIFS + self.rng.randrange(radio.backoff.cw + 1) * SLOT_TIME
 
-    def _try_access(self, radio: RadioState):
+    def _try_access(self, radio: MacRadioState):
         radio.access_pending = False
         if radio.exchange is not None or not radio.queue:
             return
@@ -467,7 +451,7 @@ class Sim:
         if busy:
             self.kick(radio, max(free_at, self.now) + self._backoff_wait(radio))
             return
-        frame = radio.head().frame
+        frame = radio.queue[0]
         peer = self._radio_on_channel(frame.dst, radio.channel)
         ex = radio.exchange = Exchange("wait_cts")
         rts_end = self._transmit(radio, peer, self.now, self.rts_air,
@@ -476,25 +460,22 @@ class Sim:
         self.schedule(deadline, "TimerFire", radio.node_id,
                       self._exchange_timeout, radio, ex, "wait_cts")
 
-    def _rts_arrival(self, rx_radio: RadioState, tx_radio: RadioState, frame: Frame):
+    def _rts_arrival(self, rx_radio: MacRadioState, tx_radio: MacRadioState, frame: Frame):
         if rx_radio.exchange is not None or self.now < rx_radio.rx_engaged_until:
             return
         active = [r.channel for r in self.nodes[rx_radio.node_id].radios
                   if r is not rx_radio
                   and (r.exchange is not None or r.rx_engaged_until > self.now)]
-        if active:
-            if len(active) > 1:
-                active.sort()
-            if self.rts_decide(rx_radio.channel, active,
-                               mode=self.rts_mode) is RtsDecision.DEFER:
-                return
+        if active and self.rts_decide(rx_radio.channel, active,
+                                      mode=self.rts_mode) is RtsDecision.DEFER:
+            return
         rx_radio.rx_engaged_until = (self.now + SIFS + self.cts_air + SIFS
                                      + self._air(frame.size_bytes) + SIFS
                                      + self.mac_ack_air + TIMEOUT_SLACK_S)
         self._transmit(rx_radio, tx_radio, self.now + SIFS, self.cts_air,
                        self._cts_arrival, rx_radio, frame)
 
-    def _cts_arrival(self, tx_radio: RadioState, rx_radio: RadioState, frame: Frame):
+    def _cts_arrival(self, tx_radio: MacRadioState, rx_radio: MacRadioState, frame: Frame):
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_cts":
             return
@@ -509,7 +490,7 @@ class Sim:
         self.schedule(deadline, "TimerFire", tx_radio.node_id,
                       self._exchange_timeout, tx_radio, ex, "wait_ack")
 
-    def _data_arrival(self, rx_radio: RadioState, tx_radio: RadioState, frame: Frame):
+    def _data_arrival(self, rx_radio: MacRadioState, tx_radio: MacRadioState, frame: Frame):
         self._transmit(rx_radio, tx_radio, self.now + SIFS, self.mac_ack_air,
                        self._mac_ack_arrival)
         if rx_radio.delivered_uid_from.get(frame.src) == frame.uid:
@@ -517,45 +498,45 @@ class Sim:
         rx_radio.delivered_uid_from[frame.src] = frame.uid
         self._deliver_up(rx_radio.node_id, frame)
 
-    def _mac_ack_arrival(self, tx_radio: RadioState):
+    def _mac_ack_arrival(self, tx_radio: MacRadioState):
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_ack":
             return
-        entry = tx_radio.pop_head(self.now)
+        frame = tx_radio.pop_head(self.now)
         if tx_radio.backoff.retries == 0:
             # first try: measured from queue head so a sender's own backlog
             # does not poison the link estimate, and rescaled to the nominal
             # data size so probe samples and data samples are comparable
-            raw = rtt_sample(entry.ts.t_h, self.now)
-            adjust = (self.data_air - self._air(entry.frame.size_bytes)) * 1000.0
+            raw = rtt_sample(frame.t_h, self.now)
+            adjust = (self.data_air - self._air(frame.size_bytes)) * 1000.0
             records = self.nodes[tx_radio.node_id].records
-            neighbor_record(records, entry.frame.dst,
+            neighbor_record(records, frame.dst,
                             self.config.delta).link_estimator.update(raw + adjust)
         tx_radio.backoff.next(BackoffOutcome.SUCCESS, self.rng)
         tx_radio.exchange = None
         self.kick(tx_radio, self.now + DIFS)
 
-    def _crossed(self, radio: RadioState, frame: Frame) -> bool:
+    def _crossed(self, radio: MacRadioState, frame: Frame) -> bool:
         """Whether the data of a frame queued on radio already reached the
         next hop, which handed it up: it lives on downstream, pending only
         a local acknowledgement."""
         peer = self._radio_on_channel(frame.dst, radio.channel)
         return peer is not None and peer.delivered_uid_from.get(radio.node_id) == frame.uid
 
-    def _exchange_timeout(self, radio: RadioState, ex: Exchange, phase: str):
+    def _exchange_timeout(self, radio: MacRadioState, ex: Exchange, phase: str):
         if radio.exchange is not ex or ex.state != phase:
             return
         radio.exchange = None
         slots = radio.backoff.next(BackoffOutcome.BUSY, self.rng)
         if radio.backoff.retries > RETRY_LIMIT:
-            entry = radio.pop_head(self.now)
+            frame = radio.pop_head(self.now)
             radio.backoff.reset()
             self.counters["mac_discards"] += 1
-            flow = self.flows.get(entry.frame.flow_id)
+            flow = self.flows.get(frame.flow_id)
             # a copy whose data crossed but whose acknowledgements kept dying
             # lives on at the next hop; only count a true loss
-            if flow is not None and entry.frame.kind is FrameKind.DATA \
-                    and not self._crossed(radio, entry.frame):
+            if flow is not None and frame.kind is FrameKind.DATA \
+                    and not self._crossed(radio, frame):
                 flow.copies_mac_discarded += 1
             self.kick(radio, self.now + DIFS)
             return
@@ -855,12 +836,12 @@ class Sim:
         residual = {fid: 0 for fid in self.flows}
         for node_id in sorted(self.nodes):
             for radio in self.nodes[node_id].radios:
-                for entry in radio.queue:
-                    if entry.frame.kind is not FrameKind.DATA \
-                            or entry.frame.flow_id not in residual:
+                for frame in radio.queue:
+                    if frame.kind is not FrameKind.DATA \
+                            or frame.flow_id not in residual:
                         continue
-                    if not self._crossed(radio, entry.frame):
-                        residual[entry.frame.flow_id] += 1
+                    if not self._crossed(radio, frame):
+                        residual[frame.flow_id] += 1
         for fid, flow in self.flows.items():
             balance = (flow.copies_delivered + flow.stats.drops_queue
                        + flow.copies_mac_discarded + residual[fid])

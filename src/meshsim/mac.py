@@ -1,6 +1,11 @@
 """Per-radio MAC primitives: modified RTS/CTS admission, FIFO queue with
 delay instrumentation, and binary exponential backoff.
 
+Each queued frame carries its own hop stamps: queue arrival ``t_i``,
+head-of-queue ``t_h`` and handed-to-medium ``t_next``.  ``hop_delay(frame,
+rate_bps)`` splits one hop's delay into queue, contention and transmission
+parts from those stamps and the frame's size.
+
 The RTS/CTS decision functions are pure; the receiver consults them with the
 channels its *other* radios are actively using.  Two rule sets exist for each
 traffic class: ``literal`` reproduces the published pseudocode equality tests
@@ -13,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from .channel import separation, validate_channel
 
@@ -54,6 +59,24 @@ class Frame:
     uid: int = -1          # engine-unique id, used for duplicate suppression
     born: float = 0.0      # first-injection time of the end-to-end packet
     payload: object = None
+    # this hop's queue arrival, head-of-queue and handed-to-medium instants,
+    # stamped by the radio that queues the frame
+    t_i: float = 0.0
+    t_h: Optional[float] = None
+    t_next: Optional[float] = None
+
+    def mark_head(self, now: float):
+        if now < self.t_i:
+            raise SimulationFault(f"head time {now} precedes arrival {self.t_i}")
+        if self.t_h is None:
+            self.t_h = now
+
+    def mark_released(self, now: float):
+        if self.t_h is None:
+            raise SimulationFault("frame released to medium before reaching queue head")
+        if now < self.t_h:
+            raise SimulationFault(f"release time {now} precedes head time {self.t_h}")
+        self.t_next = now
 
 
 class RtsDecision(enum.Enum):
@@ -72,6 +95,8 @@ def _literal_match(c1: int, local: int, offset: int) -> bool:
 
 def _decide(c1, local_channels, mode, offset, min_separation):
     validate_channel(c1)
+    if mode not in ("literal", "symmetric"):
+        raise ValueError(f"unknown rts mode {mode!r}")
     for local in local_channels:
         validate_channel(local)
         if c1 == local:
@@ -79,11 +104,8 @@ def _decide(c1, local_channels, mode, offset, min_separation):
         if mode == "literal":
             if not _literal_match(c1, local, offset):
                 return RtsDecision.DEFER
-        elif mode == "symmetric":
-            if separation(c1, local) < min_separation:
-                return RtsDecision.DEFER
-        else:
-            raise ValueError(f"unknown rts mode {mode!r}")
+        elif separation(c1, local) < min_separation:
+            return RtsDecision.DEFER
     return RtsDecision.SEND_CTS
 
 
@@ -109,37 +131,15 @@ def rts_handler(traffic_class: str):
     raise ValueError(f"unknown traffic class {traffic_class!r}")
 
 
-@dataclass(slots=True)
-class QueueTimestamps:
-    """Arrival, head-of-queue, and handed-to-medium instants for one frame."""
-
-    t_i: float
-    t_h: Optional[float] = None
-    t_next: Optional[float] = None
-
-    def mark_head(self, now: float):
-        if now < self.t_i:
-            raise SimulationFault(f"head time {now} precedes arrival {self.t_i}")
-        if self.t_h is None:
-            self.t_h = now
-
-    def mark_released(self, now: float):
-        if self.t_h is None:
-            raise SimulationFault("frame released to medium before reaching queue head")
-        if now < self.t_h:
-            raise SimulationFault(f"release time {now} precedes head time {self.t_h}")
-        self.t_next = now
-
-
-def hop_delay(ts: QueueTimestamps, size_bytes: int, rate_bps: float):
+def hop_delay(frame: Frame, rate_bps: float):
     """Split one hop's delay into queue, contention, and transmission parts."""
     if rate_bps <= 0:
         raise ValueError("rate_bps must be positive")
-    if ts.t_h is None or ts.t_next is None:
+    if frame.t_h is None or frame.t_next is None:
         raise SimulationFault("hop_delay requires fully stamped timestamps")
-    queue_delay = ts.t_h - ts.t_i
-    contention_delay = ts.t_next - ts.t_h
-    transmission_delay = size_bytes * 8 / rate_bps
+    queue_delay = frame.t_h - frame.t_i
+    contention_delay = frame.t_next - frame.t_h
+    transmission_delay = frame.size_bytes * 8 / rate_bps
     return (queue_delay, contention_delay, transmission_delay,
             queue_delay + contention_delay + transmission_delay)
 
@@ -176,24 +176,25 @@ class EnqueueResult(enum.Enum):
     DROPPED_QUEUE_FULL = "DroppedQueueFull"
 
 
-class QueuedFrame:
-    __slots__ = ("frame", "ts")
-
-    def __init__(self, frame: Frame, ts: QueueTimestamps):
-        self.frame = frame
-        self.ts = ts
-
-
 class MacRadioState:
-    """One radio: a channel, a bounded FIFO, and its backoff state."""
+    """One radio: a channel, a bounded FIFO of frames, its backoff state,
+    and the engine's handshake and reception state."""
 
-    def __init__(self, channel: int, capacity: int):
+    def __init__(self, node_id: int, channel: int, capacity: int):
         validate_channel(channel)
+        self.node_id = node_id
         self.channel = channel
         self.capacity = capacity
         self.queue = deque()
         self.backoff = BackoffState()
         self._last_time = 0.0
+        self.exchange = None            # the engine's open handshake, if any
+        self.rx_engaged_until = 0.0
+        self.access_pending = False
+        # last frame uid handed up, per sending node: a sender retries one
+        # head frame until it pops it, so one slot per sender suffices to
+        # drop the duplicates that lost acknowledgements produce
+        self.delivered_uid_from: Dict[int, int] = {}
 
     def _check_clock(self, now: float):
         if now < self._last_time:
@@ -204,24 +205,22 @@ class MacRadioState:
         self._check_clock(now)
         if len(self.queue) >= self.capacity:
             return EnqueueResult.DROPPED_QUEUE_FULL
-        ts = QueueTimestamps(t_i=now)
+        frame.t_i = now
+        frame.t_h = frame.t_next = None
         if not self.queue:
-            ts.mark_head(now)
-        self.queue.append(QueuedFrame(frame, ts))
+            frame.mark_head(now)
+        self.queue.append(frame)
         return EnqueueResult.ACCEPTED
 
-    def head(self) -> Optional[QueuedFrame]:
-        return self.queue[0] if self.queue else None
-
-    def release_head_to_medium(self, now: float):
+    def release_head_to_medium(self, now: float) -> Frame:
         self._check_clock(now)
-        entry = self.queue[0]
-        entry.ts.mark_released(now)
-        return entry.ts
+        frame = self.queue[0]
+        frame.mark_released(now)
+        return frame
 
-    def pop_head(self, now: float) -> QueuedFrame:
+    def pop_head(self, now: float) -> Frame:
         self._check_clock(now)
-        entry = self.queue.popleft()
+        frame = self.queue.popleft()
         if self.queue:
-            self.queue[0].ts.mark_head(now)
-        return entry
+            self.queue[0].mark_head(now)
+        return frame

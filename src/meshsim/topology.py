@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from .channel import ALL_CHANNELS
 from .config import NAMED_CHANNEL_PLANS, ScenarioConfig
 
 TX_RANGE_M = 250.0
@@ -104,21 +105,10 @@ def _cycle_for_plan(plan: str) -> Tuple[int, ...]:
 
 
 def _pad_channels(wanted: List[int], cycle: Tuple[int, ...], start: int, count: int) -> Tuple[int, ...]:
-    channels = list(wanted)
-    idx = start
-    guard = 0
-    while len(channels) < count and guard < 40:
-        cand = cycle[idx % len(cycle)]
-        idx += 1
-        guard += 1
-        if cand not in channels:
-            channels.append(cand)
-    extra = 1
-    while len(channels) < count:   # cycle exhausted; fill from the full band
-        if extra not in channels:
-            channels.append(extra)
-        extra += 1
-    return tuple(channels[:count])
+    """The wanted channels, then the plan's cycle from start, then the lowest
+    channels of the band, each once, up to count."""
+    order = dict.fromkeys([*wanted, *cycle[start:], *cycle[:start], *ALL_CHANNELS])
+    return tuple(order)[:count]
 
 
 def _explicit_groups(plan: str, n: int, radios: int) -> List[Tuple[int, ...]]:

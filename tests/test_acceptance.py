@@ -17,7 +17,7 @@ from meshsim.channel import SeparationClass, classify, interference_factor
 from meshsim.config import parse_config
 from meshsim.engine import Sim
 from meshsim.experiment import corciar_run, median_cells, sweep
-from meshsim.mac import (QueueTimestamps, RtsDecision, handle_rts_qos,
+from meshsim.mac import (Frame, FrameKind, RtsDecision, handle_rts_qos,
                          handle_rts_delay_tolerant, hop_delay)
 from meshsim.metrics import cor
 from meshsim.routing import RouteMetric, RttEstimator, converge_potentials, \
@@ -128,12 +128,13 @@ def test_hop_delay_decomposition():
         t_i = rng.uniform(0.0, 100.0)
         t_h = t_i + rng.uniform(0.0, 5.0)
         t_next = t_h + rng.uniform(0.0, 5.0)
-        ts = QueueTimestamps(t_i=t_i, t_h=t_h, t_next=t_next)
-        queue, contention, transmission, total = hop_delay(ts, 1000, 1e6)
+        frame = Frame(FrameKind.DATA, 0, 1, 1000, t_i=t_i, t_h=t_h, t_next=t_next)
+        queue, contention, transmission, total = hop_delay(frame, 1e6)
         assert queue >= 0.0 and contention >= 0.0 and transmission >= 0.0
         assert abs((queue + contention) - (t_next - t_i)) <= 1e-9
         assert total == queue + contention + transmission
-    assert hop_delay(QueueTimestamps(0.0, 0.0, 0.0), 1000, 1e6)[2] == 0.008
+    instant = Frame(FrameKind.DATA, 0, 1, 1000, t_i=0.0, t_h=0.0, t_next=0.0)
+    assert hop_delay(instant, 1e6)[2] == 0.008
     print("\nhop delay: 10000 random triples decompose consistently, "
           "1000 B at 1 Mbps serializes in exactly 8 ms")
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import random
+import sys
 import time
 import weakref
 
@@ -96,6 +97,31 @@ def test_conservation_partition_under_stress():
     assert st.packets_sent > 0
 
 
+def test_transport_gives_up_under_an_always_on_jammer(monkeypatch):
+    # the jammer never pauses and covers channel 6, the only channel the last
+    # hop shares: no copy gets past node 1, copies that reach node 1 after its
+    # route lapsed are route misses, an RTO that finds no route at the source
+    # starts discovery again, and each packet meets the transport retry limit
+    cfg = chain_cfg(3, sim_time_s=80.0, seed=3, jammer_channel=6,
+                    jammer_x=225.0, jammer_y=0.0, jammer_on_s=1000.0)
+    callers = []
+    request = Sim._request_discovery
+
+    def counted(sim, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return request(sim, *args)
+
+    monkeypatch.setattr(Sim, "_request_discovery", counted)
+    baseline, rerouted, _ = corciar_run(cfg)      # raises on a broken balance
+    for res in (baseline, rerouted):
+        st = res.flow_stats[0]
+        assert st.drops_retry > 0
+        assert res.counters["route_misses"] > 0
+        assert st.packets_sent == (st.packets_received_at_gateway
+                                   + st.drops_retry + st.in_flight_at_end)
+    assert callers.count("_rto_expiry") > 0
+
+
 def test_scheduling_into_the_past_faults():
     sim = Sim(chain_cfg(2), RouteMetric.HOP_COUNT, "x")
     sim.now = 5.0
@@ -119,7 +145,7 @@ def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
     sim._fill_window(flow)
     assert len(flow.unacked) == 5 and not flow.blocked
     assert lookups == [(sim.nodes[flow.src].route_table, flow.dst)] * 5
-    queued = [e.frame for r in sim.nodes[flow.src].radios for e in r.queue]
+    queued = [f for r in sim.nodes[flow.src].radios for f in r.queue]
     assert [(f.seq, f.dst) for f in queued] == [(seq, 1) for seq in range(5)]
 
 

@@ -12,7 +12,6 @@ from meshsim.mac import (
     Frame,
     FrameKind,
     MacRadioState,
-    QueueTimestamps,
     RtsDecision,
     SimulationFault,
     handle_rts_delay_tolerant,
@@ -103,27 +102,34 @@ def test_rts_rejects_bad_inputs():
         handle_rts_qos(6, [12])
     with pytest.raises(ValueError):
         handle_rts_qos(6, [1], mode="loose")
+    with pytest.raises(ValueError):
+        handle_rts_qos(1, [], mode="bogus")
+
+
+def _stamped(t_i=0.0, t_h=None, t_next=None):
+    return Frame(kind=FrameKind.DATA, src=1, dst=2, size_bytes=1000,
+                 t_i=t_i, t_h=t_h, t_next=t_next)
 
 
 def test_timestamps_enforce_order():
-    ts = QueueTimestamps(t_i=1.0)
+    frame = _stamped(t_i=1.0)
     with pytest.raises(SimulationFault):
-        ts.mark_head(0.5)
-    ts.mark_head(1.2)
-    ts.mark_head(1.4)  # idempotent: first head time sticks
-    assert ts.t_h == 1.2
+        frame.mark_head(0.5)
+    frame.mark_head(1.2)
+    frame.mark_head(1.4)  # idempotent: first head time sticks
+    assert frame.t_h == 1.2
     with pytest.raises(SimulationFault):
-        ts.mark_released(1.1)
-    ts.mark_released(1.25)
-    assert ts.t_next == 1.25
-    bare = QueueTimestamps(t_i=0.0)
+        frame.mark_released(1.1)
+    frame.mark_released(1.25)
+    assert frame.t_next == 1.25
+    bare = _stamped(t_i=0.0)
     with pytest.raises(SimulationFault):
         bare.mark_released(1.0)
 
 
 def test_hop_delay_decomposition():
-    ts = QueueTimestamps(t_i=1.0, t_h=1.2, t_next=1.25)
-    queue, contention, transmission, total = hop_delay(ts, 1000, 1_000_000)
+    frame = _stamped(t_i=1.0, t_h=1.2, t_next=1.25)
+    queue, contention, transmission, total = hop_delay(frame, 1_000_000)
     assert queue == pytest.approx(0.2)
     assert contention == pytest.approx(0.05)
     assert transmission == pytest.approx(0.008)  # 1000 bytes at 1 Mbps
@@ -132,9 +138,9 @@ def test_hop_delay_decomposition():
 
 def test_hop_delay_requires_stamps_and_rate():
     with pytest.raises(SimulationFault):
-        hop_delay(QueueTimestamps(t_i=0.0), 1000, 1_000_000)
+        hop_delay(_stamped(t_i=0.0), 1_000_000)
     with pytest.raises(ValueError):
-        hop_delay(QueueTimestamps(t_i=0.0, t_h=0.0, t_next=0.0), 1000, 0)
+        hop_delay(_stamped(t_i=0.0, t_h=0.0, t_next=0.0), 0)
 
 
 def test_backoff_window_doubles_then_caps():
@@ -183,14 +189,16 @@ def _frame(seq=0):
 
 
 def test_enqueue_to_empty_queue_is_instant_head():
-    radio = MacRadioState(channel=6, capacity=50)
-    assert radio.enqueue(_frame(), 2.5) is EnqueueResult.ACCEPTED
-    head = radio.head()
-    assert head.ts.t_i == 2.5 and head.ts.t_h == 2.5
+    radio = MacRadioState(node_id=1, channel=6, capacity=50)
+    frame = _frame()
+    assert radio.enqueue(frame, 2.5) is EnqueueResult.ACCEPTED
+    head = radio.queue[0]
+    assert head is frame
+    assert head.t_i == 2.5 and head.t_h == 2.5
 
 
 def test_queue_capacity_drops_excess():
-    radio = MacRadioState(channel=6, capacity=50)
+    radio = MacRadioState(node_id=1, channel=6, capacity=50)
     for i in range(50):
         assert radio.enqueue(_frame(i), float(i)) is EnqueueResult.ACCEPTED
     assert radio.enqueue(_frame(50), 50.0) is EnqueueResult.DROPPED_QUEUE_FULL
@@ -198,25 +206,28 @@ def test_queue_capacity_drops_excess():
 
 
 def test_pop_head_promotes_successor():
-    radio = MacRadioState(channel=6, capacity=50)
+    radio = MacRadioState(node_id=1, channel=6, capacity=50)
     radio.enqueue(_frame(0), 1.0)
     radio.enqueue(_frame(1), 1.5)
     second = radio.queue[1]
-    assert second.ts.t_h is None
+    assert second.t_h is None
     radio.release_head_to_medium(2.0)
     done = radio.pop_head(3.0)
-    assert done.frame.seq == 0 and done.ts.t_next == 2.0
-    assert radio.head() is second
-    assert second.ts.t_h == 3.0
+    assert done.seq == 0 and done.t_next == 2.0
+    assert radio.queue[0] is second
+    assert second.t_h == 3.0
     # waiting behind a busy head is pure queue delay
-    second.ts.mark_released(3.4)
-    q, c, _, _ = hop_delay(second.ts, 1000, 1_000_000)
+    second.mark_released(3.4)
+    q, c, _, _ = hop_delay(second, 1_000_000)
     assert q == pytest.approx(1.5)
     assert c == pytest.approx(0.4)
+    # a frame queued again starts a new hop: its old stamps are cleared
+    radio.enqueue(done, 3.5)
+    assert (done.t_i, done.t_h, done.t_next) == (3.5, None, None)
 
 
 def test_radio_clock_must_not_rewind():
-    radio = MacRadioState(channel=6, capacity=50)
+    radio = MacRadioState(node_id=1, channel=6, capacity=50)
     radio.enqueue(_frame(), 5.0)
     with pytest.raises(SimulationFault):
         radio.enqueue(_frame(1), 4.0)

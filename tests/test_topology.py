@@ -70,6 +70,22 @@ def test_chain_explicit_plan():
         build_chain(3, 1, "orthogonal")          # named plans need two radios
 
 
+def test_named_plans_fill_extra_radios_from_the_band():
+    # past the 3-channel cycle, radios take the lowest channels not yet used
+    assert build_random(6, 1, 6, "orthogonal").by_id[4].channels == (6, 11, 1, 2, 3, 4)
+    full = build_random(3, 1, 11, "overlapping")
+    assert [n.channels for n in full.nodes] == [
+        (1, 3, 5, 2, 4, 6, 7, 8, 9, 10, 11),
+        (3, 5, 1, 2, 4, 6, 7, 8, 9, 10, 11),
+        (5, 1, 3, 2, 4, 6, 7, 8, 9, 10, 11)]
+    over = build_chain(4, 5, "overlapping")
+    assert [n.channels for n in over.nodes] == [
+        (1, 3, 5, 2, 4), (1, 3, 5, 2, 4), (3, 5, 1, 2, 4), (5, 1, 3, 2, 4)]
+    orth = build_chain(4, 4, "orthogonal")
+    assert [n.channels for n in orth.nodes] == [
+        (1, 6, 11, 2), (1, 6, 11, 2), (6, 11, 1, 2), (11, 1, 6, 2)]
+
+
 def test_random_topology_deterministic_and_connected():
     a = build_random(20, seed=7, radios_per_node=2, channel_plan="orthogonal")
     b = build_random(20, seed=7, radios_per_node=2, channel_plan="orthogonal")
