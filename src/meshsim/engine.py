@@ -31,7 +31,9 @@ Route lifecycle: a source without a route runs discovery: `_best_path`
 resolves a path under the phase's metric, and a search that finds none is
 tried again DISCOVERY_TIMEOUT later, up to DISCOVERY_ATTEMPTS tries.  The
 found path is installed, both ways, in every node along it once the reply
-has crossed it.  Under the RTT metric a flow's route is then re-evaluated
+has crossed it.  An install restarts the window of every flow of its
+(src, dst) pair, and each use of a route keeps it alive for another
+ROUTE_LIFETIME.  Under the RTT metric a flow's route is then re-evaluated
 every ROUTE_REEVAL_S (5 s) by one least-RTT search, and switched when the
 found path's measured cost is under REROUTE_GAIN of the current one's, a
 gain of at least 20%.  Only discovery falls back to hop count: such a path
@@ -142,10 +144,8 @@ def conflicting_channels(theta: float) -> Tuple[FrozenSet[int], ...]:
 class Jammer:
     """Analytic periodic interferer: on for on_s, silent for off_s, from t=0."""
 
-    def __init__(self, channel: int, x: float, y: float, on_s: float, off_s: float):
+    def __init__(self, channel: int, on_s: float, off_s: float):
         self.channel = channel
-        self.x = x
-        self.y = y
         self.on_s = on_s
         self.period = on_s + off_s
 
@@ -210,21 +210,18 @@ class UnackedPacket:
 
 
 class FlowRuntime:
-    __slots__ = ("flow_id", "src", "dst", "window", "next_seq", "unacked",
-                 "stats", "estimator", "rto", "blocked", "delivered_seqs",
-                 "copies_injected", "copies_delivered", "copies_mac_discarded")
+    __slots__ = ("flow_id", "src", "dst", "unacked", "stats", "estimator",
+                 "rto", "delivered_seqs", "copies_injected", "copies_delivered",
+                 "copies_mac_discarded")
 
-    def __init__(self, flow_id: int, src: int, dst: int, window: int, delta: float):
+    def __init__(self, flow_id: int, src: int, dst: int, delta: float):
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
-        self.window = window
-        self.next_seq = 0
         self.unacked: Dict[int, UnackedPacket] = {}
         self.stats = FlowStats()
         self.estimator = RttEstimator(delta=delta)
         self.rto = RTO_INITIAL_S
-        self.blocked = False
         self.delivered_seqs = set()
         self.copies_injected = 0
         self.copies_delivered = 0
@@ -301,17 +298,16 @@ class Sim:
         self.jammer = None
         self.jammed: frozenset = frozenset()     # nodes within the jammer's reach
         if config.jammer_channel is not None:
-            self.jammer = Jammer(config.jammer_channel, config.jammer_x,
-                                 config.jammer_y, config.jammer_on_s,
+            self.jammer = Jammer(config.jammer_channel, config.jammer_on_s,
                                  config.jammer_off_s)
             self.jammed = frozenset(
                 n.node_id for n in self.topo.nodes
-                if math.hypot(n.x - self.jammer.x, n.y - self.jammer.y)
+                if math.hypot(n.x - config.jammer_x, n.y - config.jammer_y)
                 <= INTERFERENCE_RANGE_M)
 
         self.flows: Dict[int, FlowRuntime] = {}
         for i, (src, dst) in enumerate(resolve_flows(config, self.topo)):
-            self.flows[i] = FlowRuntime(i, src, dst, config.window, config.delta)
+            self.flows[i] = FlowRuntime(i, src, dst, config.delta)
 
         self._discovering: Set[Tuple[int, int]] = set()
         self._flow_paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -598,17 +594,15 @@ class Sim:
         self._fill_window(flow)
 
     def _fill_window(self, flow: FlowRuntime):
-        while len(flow.unacked) < flow.window:
+        while len(flow.unacked) < self.config.window:
             next_hop = self._route_next_hop(flow.src, flow.dst)
             if next_hop is None:
-                flow.blocked = True
                 self._request_discovery(flow.src, flow.dst)
                 return
-            seq = flow.next_seq
-            flow.next_seq += 1
+            seq = flow.stats.packets_sent
+            flow.stats.packets_sent += 1
             rec = UnackedPacket(seq, self.now, flow.rto)
             flow.unacked[seq] = rec
-            flow.stats.packets_sent += 1
             self._inject_copy(flow, rec, next_hop)
             self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
                           self._rto_expiry, flow, seq, rec.retx)
@@ -642,11 +636,10 @@ class Sim:
     # -- routing ------------------------------------------------------------
 
     def _route_next_hop(self, node_id: int, dst: int) -> Optional[int]:
-        table = self.nodes[node_id].route_table
-        entry = table.lookup(dst, self.now)
+        entry = self.nodes[node_id].route_table.lookup(dst, self.now)
         if entry is None:
             return None
-        table.refresh(dst, self.now)
+        entry.expires_at = self.now + ROUTE_LIFETIME
         return entry.next_hop
 
     def _measured_cost(self, u: int, v: int) -> float:
@@ -721,14 +714,19 @@ class Sim:
                     rtt_cost=self._measured_sum(zip(path[1:i + 1], path[:i])),
                     expires_at=expiry))
         self._flow_paths[(src, dst)] = path
+        # refilling every flow of the pair restarts exactly those whose last
+        # route lookup failed: between events a started flow has either a
+        # full window, on which _fill_window returns at once with no draw and
+        # no event, or such a failed lookup; and no route is installed before
+        # the flows start, since discovery begins only in _fill_window,
+        # _rto_expiry or a re-evaluation, and a reply takes 2 ms per hop
         for fid in sorted(self.flows):
             flow = self.flows[fid]
-            if flow.src == src and flow.dst == dst and flow.blocked:
-                flow.blocked = False
+            if flow.src == src and flow.dst == dst:
                 self._fill_window(flow)
         if self.metric is RouteMetric.AVG_RTT:
             # measured link costs drift, so flow routes are checked on a
-            # fixed cadence instead of living forever on refresh
+            # fixed cadence instead of living forever on use
             self._schedule_reeval(src, dst)
 
     def _schedule_reeval(self, src: int, dst: int):

@@ -25,6 +25,8 @@ class FlowStats:
     bytes_received: int = 0
     e2e_delays: List[float] = field(default_factory=list)     # ms
     rtt_samples: List[float] = field(default_factory=list)    # ms
+    # DATA copies a hop could not queue: no route, no channel shared with
+    # the next hop, or no room in the queue
     drops_queue: int = 0
     drops_retry: int = 0
     in_flight_at_end: int = 0
@@ -54,8 +56,6 @@ class CollisionClass(enum.Enum):
 
 @dataclass
 class CorReport:
-    before: float           # re-routed throughput, Kbps (the divisor)
-    after: float            # baseline throughput, Kbps (the dividend)
     cor: Optional[float]            # None: only the baseline moved traffic
     energy_ratio: Optional[float]
     collision_class: CollisionClass
@@ -92,8 +92,6 @@ def make_cor_report(baseline_kbps: float, rerouted_kbps: float) -> CorReport:
         ratio = 0.0   # nothing moved in either run: fully inelastic
     # still None: only the baseline moved traffic, so rerouting lost all of it
     return CorReport(
-        before=rerouted_kbps,
-        after=baseline_kbps,
         cor=ratio,
         energy_ratio=None if ratio is None else energy_ratio(ratio),
         collision_class=(CollisionClass.REGRESSION if ratio is None

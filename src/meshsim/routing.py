@@ -50,19 +50,19 @@ def rtt_sample(send_time: float, ack_time: float) -> float:
 class RttEstimator:
     """Exponentially weighted RTT average.
 
-    The configured initial value is only a standby reading: the first real
-    sample replaces it outright instead of blending, so an arbitrary prior
-    cannot bias early route choices.  Samples from retransmitted packets
-    must not be fed in (the caller owns that exclusion).
+    The average is None until the first sample, which sets it outright, so
+    no prior biases early route choices; each later sample moves it by
+    delta of the difference.  Samples from retransmitted packets must not be
+    fed in (the caller owns that exclusion).
     """
 
     __slots__ = ("delta", "average_rtt", "samples_seen")
 
-    def __init__(self, delta: float, initial: Optional[float] = None):
+    def __init__(self, delta: float):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         self.delta = delta
-        self.average_rtt = initial
+        self.average_rtt: Optional[float] = None
         self.samples_seen = 0
 
     @property
@@ -260,11 +260,6 @@ class RouteTable:
             del self._entries[destination]
             return None
         return entry
-
-    def refresh(self, destination: int, now: float):
-        entry = self._entries.get(destination)
-        if entry is not None and now < entry.expires_at:
-            entry.expires_at = now + ROUTE_LIFETIME
 
     def rows(self) -> List[RouteEntry]:
         return [self._entries[d] for d in sorted(self._entries)]

@@ -48,7 +48,6 @@ class Topology:
                  width: float = AREA_WIDTH_M):
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
         self.gateway = gateway
-        self.width = width
         self.by_id: Dict[int, Node] = {n.node_id: n for n in self.nodes}
         if gateway not in self.by_id:
             raise BuildError(f"gateway {gateway} is not a node")

@@ -32,8 +32,9 @@ from meshsim import cli  # noqa: E402
 # (cell name, scenario text).  Short runs keep the whole matrix near 10 s
 # while covering every topology kind, channel plan, handshake mode, traffic
 # class and protocol selection, a jammer, long airtime and a cor > 1 cell,
-# plus the edge cases of one radio per node, an always-on jammer and a flow
-# whose destination no path reaches (every discovery attempt fails).
+# plus the edge cases of one radio per node, an always-on jammer, a flow
+# whose destination no path reaches (every discovery attempt fails) and two
+# flows on one (src, dst) pair (a route install restarts both).
 CELLS = (
     ("chain4-orthogonal", "topology = chain(4)\nsim_time_s = 5\nseed = 1\n"),
     ("chain5-overlapping-literal-dt",
@@ -68,6 +69,9 @@ CELLS = (
      "sim_time_s = 6\nseed = 3\n"),
     ("mesh8-unreachable-flow",
      "topology = mesh8\nflows = 5>4, 5>1\nsim_time_s = 10\nseed = 2\n"),
+    ("chain4-two-flows-one-pair",
+     "topology = chain(4)\nflows = 0>3, 0>3, 3>0\nwindow = 2\n"
+     "sim_time_s = 8\nseed = 5\n"),
 )
 
 

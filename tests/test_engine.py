@@ -20,7 +20,7 @@ from meshsim.experiment import corciar_run, execute
 from meshsim.mac import (CW_MAX, CW_MIN, DIFS, SLOT_TIME, BackoffOutcome,
                          BackoffState, SimulationFault)
 from meshsim.metrics import CollisionClass
-from meshsim.routing import RouteMetric, RouteTable
+from meshsim.routing import ROUTE_LIFETIME, RouteMetric, RouteTable
 from meshsim.topology import INTERFERENCE_RANGE_M
 
 
@@ -133,7 +133,6 @@ def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
     sim = Sim(chain_cfg(3, window=5), RouteMetric.HOP_COUNT, "aodv_hop")
     flow = sim.flows[0]
     sim.now = FLOW_START_S
-    sim._install_route(flow.src, flow.dst, (0, 1, 2))
     lookups = []
     lookup = RouteTable.lookup
 
@@ -142,11 +141,35 @@ def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
         return lookup(table, destination, now)
 
     monkeypatch.setattr(RouteTable, "lookup", counted)
-    sim._fill_window(flow)
-    assert len(flow.unacked) == 5 and not flow.blocked
-    assert lookups == [(sim.nodes[flow.src].route_table, flow.dst)] * 5
+    # the install fills the window
+    sim._install_route(flow.src, flow.dst, (0, 1, 2))
+    assert len(flow.unacked) == 5
+    table = sim.nodes[flow.src].route_table
+    assert lookups == [(table, flow.dst)] * 5
     queued = [f for r in sim.nodes[flow.src].radios for f in r.queue]
     assert [(f.seq, f.dst) for f in queued] == [(seq, 1) for seq in range(5)]
+    # each use keeps the route alive for another lifetime from then
+    assert lookup(table, flow.dst, sim.now).expires_at == sim.now + ROUTE_LIFETIME
+    sim.now += 1.0
+    assert sim._route_next_hop(flow.src, flow.dst) == 1
+    assert lookup(table, flow.dst, sim.now).expires_at == sim.now + ROUTE_LIFETIME
+
+
+def test_install_refills_every_flow_of_the_pair():
+    # two flows share (0, 2): the first starts the one discovery, the second
+    # finds it under way, and the install restarts both windows
+    sim = Sim(chain_cfg(3, flows=((0, 2), (0, 2)), window=3),
+              RouteMetric.HOP_COUNT, "aodv_hop")
+    flows = [sim.flows[0], sim.flows[1]]
+    sim.now = FLOW_START_S
+    for flow in flows:
+        sim._fill_window(flow)
+    assert [len(flow.unacked) for flow in flows] == [0, 0]
+    pending = [fn.__name__ for _, _, _, fn, _ in sim._heap]
+    assert pending.count("_install_route") == 1
+    sim._install_route(0, 2, (0, 1, 2))
+    assert [len(flow.unacked) for flow in flows] == [3, 3]
+    assert not sim._discovering
 
 
 def test_reevaluation_runs_one_search(monkeypatch):
@@ -413,12 +436,13 @@ class OracleSim(Sim):
             and self.topo.distance(tx.sender, node_id) <= INTERFERENCE_RANGE_M
 
     def _jam_disturbs(self, node_id, channel):
-        jam = self.jammer
-        if jam is None:
+        cfg = self.config
+        if cfg.jammer_channel is None:
             return False
         node = self.topo.by_id[node_id]
-        return interference_factor(jam.channel, channel) > self.config.theta \
-            and math.hypot(node.x - jam.x, node.y - jam.y) <= INTERFERENCE_RANGE_M
+        return interference_factor(cfg.jammer_channel, channel) > cfg.theta \
+            and math.hypot(node.x - cfg.jammer_x,
+                           node.y - cfg.jammer_y) <= INTERFERENCE_RANGE_M
 
     def carrier_busy(self, node_id, channel):
         got = super().carrier_busy(node_id, channel)

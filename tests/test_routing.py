@@ -39,11 +39,11 @@ def test_ewma_fixed_point_and_substitution():
     assert est2.update(180.0) == pytest.approx(140.0)
 
 
-def test_ewma_first_sample_replaces_standby_value():
-    est = RttEstimator(delta=0.125, initial=9000.0)
-    assert est.average_rtt == 9000.0 and not est.seeded
-    est.update(20.0)
-    assert est.average_rtt == 20.0
+def test_ewma_first_sample_sets_the_average():
+    est = RttEstimator(delta=0.125)
+    assert est.average_rtt is None and not est.seeded
+    assert est.update(20.0) == 20.0
+    assert est.seeded
 
 
 def test_ewma_constant_stream_converges_regardless_of_start():
@@ -51,8 +51,9 @@ def test_ewma_constant_stream_converges_regardless_of_start():
     for _ in range(50):
         start = rng.uniform(0.0, 10000.0)
         s = rng.uniform(1.0, 10000.0)
-        est = RttEstimator(delta=0.125, initial=start)
-        for _ in range(60):
+        est = RttEstimator(delta=0.125)
+        est.update(start)
+        for _ in range(180):
             est.update(s)
         assert abs(est.average_rtt - s) <= 1e-6
 
@@ -288,14 +289,12 @@ def test_hello_processing_creates_updates_expires():
     assert sorted(v for v, r in records.items() if r.is_active(5.01)) == [9]
 
 
-def test_route_entries_expire_and_refresh():
+def test_route_entries_expire():
     table = RouteTable()
     table.install(RouteEntry(destination=0, next_hop=3, hop_count=2,
                              rtt_cost=25.0, expires_at=10.0))
     assert table.lookup(0, now=9.99).next_hop == 3
-    table.refresh(0, now=9.0)
-    assert table.lookup(0, now=15.0).expires_at == 19.0
-    assert table.lookup(0, now=19.0) is None       # expired entries never forward
+    assert table.lookup(0, now=10.0) is None       # expired entries never forward
     assert table.lookup(0, now=5.0) is None        # and are purged outright
 
 

@@ -52,10 +52,9 @@ def test_chain_link_channels_follow_cycle():
 
 def test_chain_eleven_nodes_fits_standard_area():
     topo = build_chain(11, 2, "orthogonal")
-    assert topo.width == 1500.0
     assert topo.nodes[-1].x == 1500.0
     long = build_chain(14, 2, "orthogonal")
-    assert long.width == pytest.approx(150.0 * 13)
+    assert long.nodes[-1].x == pytest.approx(150.0 * 13)
 
 
 def test_chain_explicit_plan():
