@@ -115,11 +115,15 @@ def _channel_plan(raw: str, key: str) -> str:
         raise _Invalid(f"{key} must be one of "
                        f"{'/'.join(NAMED_CHANNEL_PLANS)} or an explicit "
                        f"semicolon-separated per-node list like 1,6;6,11")
-    for group in raw.split(";"):
+    for node, group in enumerate(raw.split(";")):
+        listed = set()
         for ch_text in group.split(","):
             ch = int(ch_text)
             if not 1 <= ch <= 11:
                 raise _Invalid(f"channel {ch} outside 1..11")
+            if ch in listed:
+                raise _Invalid(f"node {node} channel group lists channel {ch} twice")
+            listed.add(ch)
     return re.sub(r"\s+", "", raw)
 
 
@@ -176,8 +180,8 @@ class ScenarioConfig:
     channel_plan: str = _key(
         "orthogonal", _channel_plan,
         "how initial channels are assigned: `orthogonal`, `overlapping`, `pcl`, "
-        "or an explicit per-node list like `1,6;6,11`; `mesh8` takes `orthogonal` "
-        "(its own fixed channels) or `pcl`")
+        "or an explicit per-node list like `1,6;6,11`, each node's channels "
+        "distinct; `mesh8` takes `orthogonal` (its own fixed channels) or `pcl`")
     rts_mode: str = _key(
         "symmetric", _one_of(VALID_RTS_MODES),
         "`symmetric` grants by channel separation; `literal` reproduces the exact "
@@ -191,7 +195,8 @@ class ScenarioConfig:
     sim_time_s: float = _key(
         100.0, _number(_SECONDS, lambda v: v < 0, ">= 0 seconds"),
         "simulated duration in seconds; `0` is an inert run")
-    packet_size_bytes: int = _key(1000, _integer(1), "data payload size in bytes")
+    packet_size_bytes: int = _key(
+        1000, _integer(1), "size of a data frame on the air, in bytes")
     data_rate_bps: float = _key(
         1_000_000.0, _number(" (bits/second)", lambda v: v <= 0, "positive"),
         "radio bit rate in bits/second")

@@ -89,7 +89,7 @@ from .routing import (
     RouteTable,
     RttEstimator,
     aodv_discover,
-    cumulative_rtt,
+    cumulative_rtt,  # unused here; benchmark/layers.py times it by this name
     neighbor_record,
     process_hello,
     rtt_sample,
@@ -186,13 +186,12 @@ class Exchange:
 
 
 class NodeState:
-    __slots__ = ("radios", "records", "route_table", "cum_rtt_advert", "claimed")
+    __slots__ = ("radios", "records", "route_table", "claimed")
 
     def __init__(self, node_id: int, channels, capacity: int, use_pcl: bool):
         self.radios = [MacRadioState(node_id, ch, capacity) for ch in channels]
         self.records: Dict[int, NeighborRecord] = {}
         self.route_table = RouteTable()
-        self.cum_rtt_advert = math.inf
         # pcl plan only: the channels an interference neighbour has claimed
         # since this node last claimed them itself
         self.claimed: Optional[Set[int]] = set() if use_pcl else None
@@ -262,6 +261,8 @@ class Sim:
         self._trace_file = trace_file
         self.dispatched = 0
         self.corrupted_receptions = 0
+        # hello_queue_drops counts every hello _enqueue refused: a full
+        # queue, or a neighbour that shares no current channel (pcl retunes)
         self.counters: Dict[str, float] = {
             "route_misses": 0, "hello_queue_drops": 0, "mac_discards": 0,
             "pcl_retunes": 0,
@@ -305,9 +306,10 @@ class Sim:
                 if math.hypot(n.x - config.jammer_x, n.y - config.jammer_y)
                 <= INTERFERENCE_RANGE_M)
 
-        self.flows: Dict[int, FlowRuntime] = {}
-        for i, (src, dst) in enumerate(resolve_flows(config, self.topo)):
-            self.flows[i] = FlowRuntime(i, src, dst, config.delta)
+        # a flow's id is its index here
+        self.flows: List[FlowRuntime] = [
+            FlowRuntime(i, src, dst, config.delta)
+            for i, (src, dst) in enumerate(resolve_flows(config, self.topo))]
 
         self._discovering: Set[Tuple[int, int]] = set()
         self._flow_paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -528,12 +530,10 @@ class Sim:
             frame = radio.pop_head(self.now)
             radio.backoff.reset()
             self.counters["mac_discards"] += 1
-            flow = self.flows.get(frame.flow_id)
             # a copy whose data crossed but whose acknowledgements kept dying
             # lives on at the next hop; only count a true loss
-            if flow is not None and frame.kind is FrameKind.DATA \
-                    and not self._crossed(radio, frame):
-                flow.copies_mac_discarded += 1
+            if frame.kind is FrameKind.DATA and not self._crossed(radio, frame):
+                self.flows[frame.flow_id].copies_mac_discarded += 1
             self.kick(radio, self.now + DIFS)
             return
         self.kick(radio, self.now + DIFS + slots * SLOT_TIME)
@@ -542,12 +542,10 @@ class Sim:
 
     def _deliver_up(self, node_id: int, frame: Frame):
         if frame.kind is FrameKind.HELLO:
-            process_hello(self.nodes[node_id].records, frame.src,
-                          frame.payload, self.now, self.config.delta)
+            process_hello(self.nodes[node_id].records, frame.src, self.now,
+                          self.config.delta)
             return
-        flow = self.flows.get(frame.flow_id)
-        if flow is None:
-            return
+        flow = self.flows[frame.flow_id]
         if frame.kind is FrameKind.DATA and node_id == flow.dst:
             flow.copies_delivered += 1
             if frame.seq not in flow.delivered_seqs:
@@ -720,8 +718,7 @@ class Sim:
         # no event, or such a failed lookup; and no route is installed before
         # the flows start, since discovery begins only in _fill_window,
         # _rto_expiry or a re-evaluation, and a reply takes 2 ms per hop
-        for fid in sorted(self.flows):
-            flow = self.flows[fid]
+        for flow in self.flows:
             if flow.src == src and flow.dst == dst:
                 self._fill_window(flow)
         if self.metric is RouteMetric.AVG_RTT:
@@ -755,14 +752,9 @@ class Sim:
     # -- periodic drivers -----------------------------------------------------
 
     def _hello_tick(self, node_id: int):
-        node = self.nodes[node_id]
-        node.cum_rtt_advert = cumulative_rtt(
-            node_id, [node.records[k] for k in sorted(node.records)],
-            self.topo.gateway, self.now)
         for v in sorted(self.topo.comm_adjacency[node_id]):
             hello = Frame(kind=FrameKind.HELLO, src=node_id, dst=v,
-                          size_bytes=HELLO_BYTES, uid=self._new_uid(),
-                          born=self.now, payload=node.cum_rtt_advert)
+                          size_bytes=HELLO_BYTES, uid=self._new_uid())
             if not self._enqueue(node_id, hello):
                 self.counters["hello_queue_drops"] += 1
         self.schedule(self.now + HELLO_INTERVAL, "HelloTick", node_id,
@@ -798,10 +790,9 @@ class Sim:
                 if self.nodes[node_id].claimed is not None:
                     self.schedule(offset + self.rng.random() * BEACON_INTERVAL_S,
                                   "BeaconTick", node_id, self._beacon_tick, node_id)
-            for flow_id in sorted(self.flows):
+            for flow in self.flows:
                 self.schedule(min(FLOW_START_S, sim_time), "FlowSendWindow",
-                              self.flows[flow_id].src, self._fill_window,
-                              self.flows[flow_id])
+                              flow.src, self._fill_window, flow)
         heap = self._heap
         hash_update = self._hash.update
         write = self._trace_file.write if self._trace_file is not None else None
@@ -831,16 +822,13 @@ class Sim:
         return self._result()
 
     def _check_conservation(self):
-        residual = {fid: 0 for fid in self.flows}
+        residual = [0] * len(self.flows)
         for node_id in sorted(self.nodes):
             for radio in self.nodes[node_id].radios:
                 for frame in radio.queue:
-                    if frame.kind is not FrameKind.DATA \
-                            or frame.flow_id not in residual:
-                        continue
-                    if not self._crossed(radio, frame):
+                    if frame.kind is FrameKind.DATA and not self._crossed(radio, frame):
                         residual[frame.flow_id] += 1
-        for fid, flow in self.flows.items():
+        for fid, flow in enumerate(self.flows):
             balance = (flow.copies_delivered + flow.stats.drops_queue
                        + flow.copies_mac_discarded + residual[fid])
             if flow.copies_injected != balance:
@@ -866,14 +854,14 @@ class Sim:
         return costs
 
     def _result(self) -> SimResult:
-        stats = [self.flows[fid].stats for fid in sorted(self.flows)]
+        stats = [flow.stats for flow in self.flows]
         sim_time = self.config.sim_time_s
         if sim_time > 0:
             summary = summarize(stats, sim_time, self.protocol_label)
         else:
             summary = RunSummary(0.0, None, None, None, self.protocol_label)
-        first = self.flows.get(0)
-        first_path = None if first is None else self._flow_paths.get((first.src, first.dst))
+        first = self.flows[0]
+        first_path = self._flow_paths.get((first.src, first.dst))
         route_rows = []
         for node_id in sorted(self.nodes):
             for entry in self.nodes[node_id].route_table.rows():

@@ -58,7 +58,6 @@ class Frame:
     seq: int = -1
     uid: int = -1          # engine-unique id, used for duplicate suppression
     born: float = 0.0      # first-injection time of the end-to-end packet
-    payload: object = None
     # this hop's queue arrival, head-of-queue and handed-to-medium instants,
     # stamped by the radio that queues the frame
     t_i: float = 0.0

@@ -4,10 +4,12 @@ on-demand route discovery under hop-count or RTT metrics.
 
 The engine forwards every packet, gateway-bound or not, on routes that
 `aodv_discover` resolves under the phase's metric and installs in each node's
-`RouteTable`.  Each node's minimum summed round-trip time to the gateway
-(`cumulative_rtt`) is only advertised in its hellos.  The potential field
-(`converge_potentials`, `next_hop_select`) states the loop-free fixed point
-those advertisements converge to; no forwarding decision reads it.
+`RouteTable`.  A hello carries no advert: its receiver only notes when the
+sender was last heard, and its MAC exchange gives the sender an RTT sample
+of the link.  `cumulative_rtt` (one distance-vector step toward the gateway)
+and the potential field (`converge_potentials`, `next_hop_select`) are
+library code that states the loop-free fixed point such steps converge to;
+nothing in the engine advertises or reads them.
 
 The route lifecycle (discovery, install, re-evaluation, switching) is
 described once, in the `engine` module docstring; the engine drives it with
@@ -20,7 +22,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .mac import SimulationFault
 
@@ -56,28 +58,26 @@ class RttEstimator:
     fed in (the caller owns that exclusion).
     """
 
-    __slots__ = ("delta", "average_rtt", "samples_seen")
+    __slots__ = ("delta", "average_rtt")
 
     def __init__(self, delta: float):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         self.delta = delta
         self.average_rtt: Optional[float] = None
-        self.samples_seen = 0
 
     @property
     def seeded(self) -> bool:
-        return self.samples_seen > 0
+        return self.average_rtt is not None
 
     def update(self, sample: float) -> float:
         if sample < 0:
             raise SimulationFault(f"negative RTT sample {sample}")
-        if self.samples_seen == 0:
+        if self.average_rtt is None:
             self.average_rtt = sample
         else:
             difference = sample - self.average_rtt
             self.average_rtt = self.average_rtt + self.delta * difference
-        self.samples_seen += 1
         return self.average_rtt
 
 
@@ -85,7 +85,6 @@ class RttEstimator:
 class NeighborRecord:
     last_hello_at: float
     link_estimator: RttEstimator
-    advertised_cum_rtt: float = math.inf
 
     def is_active(self, now: float) -> bool:
         return now - self.last_hello_at <= HELLO_TIMEOUT
@@ -103,33 +102,32 @@ def neighbor_record(records: Dict[int, NeighborRecord], neighbor: int,
     return rec
 
 
-def process_hello(records: Dict[int, NeighborRecord], sender: int,
-                  advertised_cum_rtt: float, now: float,
+def process_hello(records: Dict[int, NeighborRecord], sender: int, now: float,
                   delta: float) -> NeighborRecord:
     rec = neighbor_record(records, sender, delta)
     rec.last_hello_at = now
-    rec.advertised_cum_rtt = advertised_cum_rtt
     return rec
 
 
-def cumulative_rtt(node: int, neighbors: Iterable[NeighborRecord], gateway: int,
-                   now: float) -> float:
+def cumulative_rtt(node: int, neighbors: Iterable[Tuple[NeighborRecord, float]],
+                   gateway: int, now: float) -> float:
     """Minimum summed link RTT from this node to the gateway, in ms.
 
-    Computed from what active neighbors advertise plus the measured link to
-    each; the result is what this node advertises in turn.  Unreachable is
-    reported as infinity, never as an exception, because a node with no
-    usable neighbor is a steady state, not a fault.
+    neighbors holds one (record, advertised_ms) pair per neighbor: its
+    record and its own cumulative RTT to the gateway.  The result adds the
+    measured link to each active neighbor's figure and keeps the least.
+    Unreachable is reported as infinity, never as an exception, because a
+    node with no usable neighbor is a steady state, not a fault.
     """
     if node == gateway:
         return 0.0
     best = math.inf
-    for rec in neighbors:
+    for rec, advertised_ms in neighbors:
         if not rec.is_active(now):
             continue
-        if not rec.link_estimator.seeded or math.isinf(rec.advertised_cum_rtt):
+        if not rec.link_estimator.seeded or math.isinf(advertised_ms):
             continue
-        best = min(best, rec.link_estimator.average_rtt + rec.advertised_cum_rtt)
+        best = min(best, rec.link_estimator.average_rtt + advertised_ms)
     return best
 
 

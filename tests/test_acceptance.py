@@ -309,3 +309,42 @@ def test_package_imports_only_the_standard_library():
     outside = sorted(modules - sys.stdlib_module_names)
     assert not outside, f"meshsim imports non-standard modules {outside}"
     print(f"\nstandard library only: {len(modules)} imported modules")
+
+
+# (module, name) pairs a module may import without reading: the benchmark's
+# tracer times engine.cumulative_rtt by that name, though the engine never
+# calls it
+UNREAD_IMPORTS = (("engine", "cumulative_rtt"),)
+
+
+def _bound_names(node):
+    """The names an import statement binds; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def test_package_reads_every_name_it_imports():
+    src = Path(__file__).resolve().parent.parent / "src" / "meshsim"
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        unread += [(path.stem, name) for node in ast.walk(tree)
+                   for name in _bound_names(node) if name not in read]
+        # a second module-level import of one name rebinds it, so one of the
+        # two is never read
+        top = [name for stmt in tree.body for name in _bound_names(stmt)]
+        unread += [(path.stem, name) for i, name in enumerate(top) if name in top[:i]]
+    assert unread == list(UNREAD_IMPORTS), \
+        f"imported but never read (or a stale allowlist entry): {unread}"
+    print(f"\nevery import read: {len(list(src.glob('*.py')))} modules, "
+          f"allowlisted {list(UNREAD_IMPORTS)}")

@@ -2,6 +2,7 @@
 channel decision tables."""
 
 import argparse
+import ast
 import hashlib
 import os
 import pickle
@@ -56,6 +57,28 @@ def test_readme_trace_format_is_the_engine_constant():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     documented = TRACE_LINE.replace("\n", "\\n")
     assert f"`{documented}` (`meshsim.engine.TRACE_LINE`)" in readme.replace("\n", " ")
+
+
+def test_readme_event_labels_are_the_engine_labels():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    start = readme.index("**Event trace.**")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    documented = set(re.findall(r"`([A-Z][A-Za-z]+)`", paragraph))
+    # every label reaches the trace through schedule(t, label, ...) or,
+    # for the closing line, trace_tag(label, node)
+    position = {"schedule": 1, "trace_tag": 0}
+    labels = set()
+    tree = ast.parse((root / "src" / "meshsim" / "engine.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in position:
+                label = node.args[position[name]]
+                if isinstance(label, ast.Constant):
+                    labels.add(label.value)
+    assert {"SimEnd", "TimerFire"} <= labels     # both call forms were read
+    assert documented == labels
 
 
 def test_run_seed_flag_overrides_config(tmp_path, capsys):

@@ -133,6 +133,8 @@ ERROR_MESSAGES = [
                                 "orthogonal/overlapping/pcl or an explicit "
                                 "semicolon-separated per-node list like 1,6;6,11"),
     ("channel_plan = 1,12", "line 1: channel 12 outside 1..11"),
+    ("channel_plan = 6,6;6,6;6,6;6,6", "line 1: node 0 channel group lists channel 6 twice"),
+    ("channel_plan = 1,6;11, 11", "line 1: node 1 channel group lists channel 11 twice"),
     ("rts_mode = strict", "line 1: rts_mode must be one of ('symmetric', 'literal')"),
     ("traffic_class = bulk", "line 1: traffic_class must be one of "
                              "('qos', 'delay_tolerant')"),

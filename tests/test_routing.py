@@ -95,18 +95,19 @@ def test_ewma_rejects_bad_inputs():
 
 
 def _record(now, advertised, link_ms):
+    """A neighbor heard at now, its link measured at link_ms, paired with
+    the cumulative RTT it advertises."""
     rec = NeighborRecord(last_hello_at=now,
-                         link_estimator=RttEstimator(delta=0.125),
-                         advertised_cum_rtt=advertised)
+                         link_estimator=RttEstimator(delta=0.125))
     rec.link_estimator.update(link_ms)
-    return rec
+    return rec, advertised
 
 
 def test_cumulative_rtt_gateway_and_chain():
     assert cumulative_rtt(0, [], gateway=0, now=5.0) == 0.0
     # far end of a chain whose per-hop averages are 10, 20, 30 toward the gateway
-    rec = _record(now=5.0, advertised=50.0, link_ms=10.0)
-    assert cumulative_rtt(2, [rec], gateway=0, now=5.0) == pytest.approx(60.0)
+    neighbor = _record(now=5.0, advertised=50.0, link_ms=10.0)
+    assert cumulative_rtt(2, [neighbor], gateway=0, now=5.0) == pytest.approx(60.0)
 
 
 def test_cumulative_rtt_prefers_cheaper_branch():
@@ -117,9 +118,8 @@ def test_cumulative_rtt_prefers_cheaper_branch():
 
 def test_cumulative_rtt_skips_unusable_neighbors():
     stale = _record(now=0.0, advertised=10.0, link_ms=5.0)      # silent too long
-    unseeded = NeighborRecord(last_hello_at=9.0,
-                              link_estimator=RttEstimator(delta=0.125),
-                              advertised_cum_rtt=10.0)
+    unseeded = (NeighborRecord(last_hello_at=9.0,
+                               link_estimator=RttEstimator(delta=0.125)), 10.0)
     unreachable = _record(now=9.0, advertised=math.inf, link_ms=5.0)
     got = cumulative_rtt(7, [stale, unseeded, unreachable], gateway=0, now=9.0)
     assert math.isinf(got)
@@ -277,15 +277,14 @@ def test_discover_error_cases():
 
 def test_hello_processing_creates_updates_expires():
     records = {}
-    rec = process_hello(records, sender=4, advertised_cum_rtt=42.0, now=1.0,
-                        delta=0.25)
-    assert records == {4: rec} and rec.advertised_cum_rtt == 42.0
+    rec = process_hello(records, sender=4, now=1.0, delta=0.25)
+    assert records == {4: rec} and rec.last_hello_at == 1.0
     assert rec.link_estimator.delta == 0.25
-    process_hello(records, sender=4, advertised_cum_rtt=37.5, now=2.0, delta=0.25)
-    assert records[4].last_hello_at == 2.0 and records[4].advertised_cum_rtt == 37.5
+    process_hello(records, sender=4, now=2.0, delta=0.25)
+    assert records[4] is rec and rec.last_hello_at == 2.0
     assert records[4].is_active(5.0)        # exactly three intervals: still alive
     assert not records[4].is_active(5.01)   # past three missed hellos
-    process_hello(records, sender=9, advertised_cum_rtt=5.0, now=5.0, delta=0.25)
+    process_hello(records, sender=9, now=5.0, delta=0.25)
     assert sorted(v for v, r in records.items() if r.is_active(5.01)) == [9]
 
 
