@@ -18,8 +18,9 @@ pickled outcomes back over a pipe.  A cell's two phases stay in one worker,
 since the second seeds from the first.  The parent puts the outcomes back in
 (value, seed) order, so rows, CSV and trace hashes are byte-identical to a
 serial run whatever the CPU count; with one CPU (``taskset -c 0``) the cells
-run in the calling process.  Because workers are forked, patches or counters
-set in the caller do not see the per-cell calls.
+run in the calling process, and so do the cells of every worker the system
+could not start (a failed fork).  Because workers are forked, patches or
+counters set in the caller do not see the per-cell calls.
 """
 
 from __future__ import annotations
@@ -146,10 +147,18 @@ def _run_forked(cells: Sequence[ScenarioConfig], n: int) -> List[CellOutcome]:
                 pid = os.fork()
                 if pid == 0:
                     _worker(cells[k::n], read_fd, write_fd)
+            except OSError:
+                # no process could be started (EAGAIN, ENOMEM): this
+                # worker's cells and every later one's run here instead
+                workers.pop()
+                os.close(read_fd)
+                break
             finally:
                 # a later worker must not inherit it, or EOF never comes
                 os.close(write_fd)
             workers[k][0] = pid
+        for k in range(len(workers), n):
+            outcomes[k::n] = _run_cells(cells[k::n])
         for k, worker in enumerate(workers):
             with open(worker[1], "rb", closefd=False) as pipe:
                 data = pipe.read()

@@ -81,7 +81,7 @@ class RttEstimator:
         return self.average_rtt
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecord:
     last_hello_at: float
     link_estimator: RttEstimator
@@ -97,8 +97,7 @@ def neighbor_record(records: Dict[int, NeighborRecord], neighbor: int,
     smooths with weight delta."""
     rec = records.get(neighbor)
     if rec is None:
-        rec = records[neighbor] = NeighborRecord(
-            last_hello_at=-1e9, link_estimator=RttEstimator(delta=delta))
+        rec = records[neighbor] = NeighborRecord(-1e9, RttEstimator(delta))
     return rec
 
 

@@ -1,8 +1,20 @@
 """Topology construction: node placement, per-radio channel assignment, and
-the derived communication graph (in range and sharing a channel).
+the two neighbour tables derived from them.
 
-The engine reads only a Topology's two neighbour tables (communication
-adjacency, interference candidates); distances are computed on demand.
+The engine reads only a Topology's neighbour tables; distances are computed
+on demand.  Each table maps a node id to other node ids:
+
+- `comm_adjacency`, the communication graph: the nodes within TX_RANGE_M
+  that share a channel with it (a set);
+- `interference_candidates`: the nodes within INTERFERENCE_RANGE_M, whose
+  transmissions can matter there (a list sorted by id).
+
+Each table is built once, on its first read, by a pass over the nodes in x
+order, and then kept as a plain attribute.  `build_random` accepts or
+rejects each uniform placement on its communication graph alone, so a
+rejected placement costs its draws and that graph, with no Node objects; the
+kept placement's Topology takes that graph over, and its interference lists
+are built when the engine first reads them.
 
 Named channel plans are per-link cycles for chains and per-node cycles for
 random layouts; with two radios and a three-channel cycle every node pair
@@ -14,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .channel import ALL_CHANNELS
 from .config import NAMED_CHANNEL_PLANS, ScenarioConfig
@@ -44,6 +56,9 @@ class Node:
 
 
 class Topology:
+    """Nodes in id order, the gateway, and the two neighbour tables, each
+    built on its first read (see the module docstring)."""
+
     def __init__(self, nodes: List[Node], gateway: int,
                  width: float = AREA_WIDTH_M):
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
@@ -55,29 +70,22 @@ class Topology:
             if not (0.0 <= n.x <= width and 0.0 <= n.y <= AREA_HEIGHT_M):
                 raise BuildError(f"node {n.node_id} at ({n.x}, {n.y}) outside "
                                  f"{width} x {AREA_HEIGHT_M} area")
-        self.comm_adjacency: Dict[int, Set[int]] = {n.node_id: set() for n in self.nodes}
-        # everyone whose transmissions can matter at this node; the pair loop
-        # below visits nodes in id order, so each list comes out sorted
-        self.interference_candidates: Dict[int, List[int]] = {
-            n.node_id: [] for n in self.nodes}
-        reach = INTERFERENCE_RANGE_M
-        for i, a in enumerate(self.nodes):
-            u, ax, ay = a.node_id, a.x, a.y
-            for b in self.nodes[i + 1:]:
-                dx = ax - b.x
-                dy = ay - b.y
-                # hypot is never below |dx| or |dy|: a pair farther apart
-                # than the interference range on one axis is out of both ranges
-                if not (-reach <= dx <= reach and -reach <= dy <= reach):
-                    continue
-                v = b.node_id
-                d = math.hypot(dx, dy)
-                if d <= TX_RANGE_M and not set(a.channels).isdisjoint(b.channels):
-                    self.comm_adjacency[u].add(v)
-                    self.comm_adjacency[v].add(u)
-                if d <= reach:
-                    self.interference_candidates[u].append(v)
-                    self.interference_candidates[v].append(u)
+        # (x, y, node_id) in x order, the walk both tables are built from
+        self._by_x = sorted([(n.x, n.y, n.node_id) for n in self.nodes])
+
+    def __getattr__(self, name: str):
+        # reached only while a table is not yet an instance attribute; once
+        # set, later reads are plain attribute lookups
+        if name == "comm_adjacency":
+            table = _comm_adjacency(
+                self._by_x, {n.node_id: set(n.channels) for n in self.nodes})
+        elif name == "interference_candidates":
+            table = _interference_lists(self._by_x, self.by_id)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        setattr(self, name, table)
+        return table
 
     def distance(self, u: int, v: int) -> float:
         a, b = self.by_id[u], self.by_id[v]
@@ -87,16 +95,62 @@ class Topology:
         return [n.node_id for n in self.nodes]
 
     def is_connected(self) -> bool:
-        ids = self.node_ids()
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            u = frontier.pop()
-            for v in self.comm_adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == len(ids)
+        return _connected(self.comm_adjacency)
+
+
+def _comm_adjacency(by_x: List[Tuple[float, float, int]],
+                    channel_sets: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
+    """The communication graph: nodes within TX_RANGE_M that share a channel
+    are linked.  by_x holds (x, y, node_id) in x order; channel_sets maps each
+    node id, in id order, to its channels."""
+    adjacency: Dict[int, Set[int]] = {u: set() for u in channel_sets}
+    reach = TX_RANGE_M
+    for k, (ax, ay, u) in enumerate(by_x):
+        for bx, by, v in by_x[k + 1:]:
+            dx = bx - ax
+            if dx > reach:      # so is every later node: hypot is never below |dx|
+                break
+            dy = by - ay
+            if -reach <= dy <= reach and math.hypot(dx, dy) <= reach \
+                    and not channel_sets[u].isdisjoint(channel_sets[v]):
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return adjacency
+
+
+def _interference_lists(by_x: List[Tuple[float, float, int]],
+                        ids: Iterable[int]) -> Dict[int, List[int]]:
+    """Everyone within INTERFERENCE_RANGE_M of each node (whose transmissions
+    can matter there), sorted by id; by_x as for _comm_adjacency, and ids
+    gives the keys in id order."""
+    lists: Dict[int, List[int]] = {u: [] for u in ids}
+    reach = INTERFERENCE_RANGE_M
+    for k, (ax, ay, u) in enumerate(by_x):
+        near = lists[u]
+        for bx, by, v in by_x[k + 1:]:
+            dx = bx - ax
+            if dx > reach:      # as in _comm_adjacency
+                break
+            dy = by - ay
+            if -reach <= dy <= reach and math.hypot(dx, dy) <= reach:
+                near.append(v)
+                lists[v].append(u)
+    for others in lists.values():
+        others.sort()
+    return lists
+
+
+def _connected(adjacency: Dict[int, Set[int]]) -> bool:
+    start = next(iter(adjacency))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        u = frontier.pop()
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(adjacency)
 
 
 def _cycle_for_plan(plan: str) -> Tuple[int, ...]:
@@ -106,7 +160,11 @@ def _cycle_for_plan(plan: str) -> Tuple[int, ...]:
 def _pad_channels(wanted: List[int], cycle: Tuple[int, ...], start: int, count: int) -> Tuple[int, ...]:
     """The wanted channels, then the plan's cycle from start, then the lowest
     channels of the band, each once, up to count."""
-    order = dict.fromkeys([*wanted, *cycle[start:], *cycle[:start], *ALL_CHANNELS])
+    order = dict.fromkeys(wanted)
+    for ch in (*cycle[start:], *cycle[:start], *ALL_CHANNELS):
+        if len(order) >= count:
+            break
+        order.setdefault(ch)
     return tuple(order)[:count]
 
 
@@ -144,8 +202,7 @@ def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
         channels = [_chain_channels(i, n, cycle, radios_per_node) for i in range(n)]
     else:
         channels = _explicit_groups(channel_plan, n, radios_per_node)
-    nodes = [Node(node_id=i, x=CHAIN_SPACING_M * i, y=0.0, channels=channels[i])
-             for i in range(n)]
+    nodes = [Node(i, CHAIN_SPACING_M * i, 0.0, channels[i]) for i in range(n)]
     topo = Topology(nodes, gateway=n - 1, width=width)
     # neighbours sit CHAIN_SPACING_M apart, within TX_RANGE_M, so a link is
     # in the communication graph exactly when its nodes share a channel
@@ -161,6 +218,21 @@ def _random_node_channels(i: int, plan: str, radios: int) -> Tuple[int, ...]:
     return _pad_channels([], cycle, i % len(cycle), radios)
 
 
+def _placed(points: List[Tuple[float, float]], channels: List[Tuple[int, ...]],
+            channel_sets: Dict[int, Set[int]]) -> Optional[Topology]:
+    """The topology of a placement whose communication graph is connected,
+    else None.  A placement is judged on that graph alone; the kept one's
+    Topology takes the graph over, and nodes are made only for it."""
+    by_x = sorted((x, y, i) for i, (x, y) in enumerate(points))
+    adjacency = _comm_adjacency(by_x, channel_sets)
+    if not _connected(adjacency):
+        return None
+    topo = Topology([Node(i, x, y, channels[i]) for i, (x, y) in enumerate(points)],
+                    gateway=0)
+    topo.comm_adjacency = adjacency
+    return topo
+
+
 def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> Topology:
     if n < 2:
         raise BuildError("random topology needs at least 2 nodes")
@@ -170,14 +242,13 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
                     for i in range(n)]
     else:
         channels = _explicit_groups(channel_plan, n, radios_per_node)
-    for attempt in range(MAX_PLACEMENT_ATTEMPTS):
-        nodes = [Node(node_id=i,
-                      x=rng.uniform(0.0, AREA_WIDTH_M),
-                      y=rng.uniform(0.0, AREA_HEIGHT_M),
-                      channels=channels[i])
-                 for i in range(n)]
-        topo = Topology(nodes, gateway=0)
-        if topo.is_connected():
+    channel_sets = {i: set(c) for i, c in enumerate(channels)}
+    for _ in range(MAX_PLACEMENT_ATTEMPTS):
+        # x then y, node by node: every seed's layout rests on this draw order
+        points = [(rng.uniform(0.0, AREA_WIDTH_M), rng.uniform(0.0, AREA_HEIGHT_M))
+                  for _ in range(n)]
+        topo = _placed(points, channels, channel_sets)
+        if topo is not None:
             return topo
     # Sparse populations rarely connect under pure uniform draws (under 1% at
     # 20 nodes in the full area), so anchor each node within range of an
@@ -193,10 +264,8 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
             if math.hypot(x - ax, y - ay) <= 0.9 * TX_RANGE_M:
                 positions.append((x, y))
                 break
-    nodes = [Node(node_id=i, x=positions[i][0], y=positions[i][1],
-                  channels=channels[i]) for i in range(n)]
-    topo = Topology(nodes, gateway=0)
-    if topo.is_connected():
+    topo = _placed(positions, channels, channel_sets)
+    if topo is not None:
         return topo
     raise BuildError(f"no connected placement of {n} nodes in "
                      f"{MAX_PLACEMENT_ATTEMPTS} attempts; density too low for "

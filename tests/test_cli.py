@@ -3,6 +3,7 @@ channel decision tables."""
 
 import argparse
 import ast
+import errno
 import hashlib
 import os
 import pickle
@@ -406,6 +407,28 @@ def test_forked_sweep_is_identical_to_serial(tmp_path, monkeypatch):
     direct = [(hops, row) for hops in (2, 3) for seed in range(1, 5)
               for row in experiment.execute(config_for_axis(base, "hops", hops, seed))]
     assert forked_rows == direct
+
+
+def test_sweep_runs_here_the_cells_of_a_worker_that_could_not_start(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "sim_time_s = 4.0\nchannel_plan = overlapping\n")
+    forks = count_forks(monkeypatch)
+    counted_fork = os.fork
+    calls = []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == 2:     # the system refuses the second worker
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counted_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    cpus(monkeypatch, 3)        # worker 0 starts; the cells of 1 and 2 run here
+    out = tmp_path / "out.csv"
+    args = ["sweep", "--hops", "2,3", "--seeds", "1..4", "--config", cfg]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert len(calls) == 2 and len(forks) == 1
+    assert_reaped(forks)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == IDENTITY_CSV_SHA256
 
 
 @pytest.mark.parametrize("die, cause", [
