@@ -19,8 +19,8 @@ since the second seeds from the first.  The parent puts the outcomes back in
 (value, seed) order, so rows, CSV and trace hashes are byte-identical to a
 serial run whatever the CPU count; with one CPU (``taskset -c 0``) the cells
 run in the calling process, and so do the cells of every worker the system
-could not start (a failed fork).  Because workers are forked, patches or
-counters set in the caller do not see the per-cell calls.
+could not start (a failed pipe or fork).  Because workers are forked,
+patches or counters set in the caller do not see the per-cell calls.
 """
 
 from __future__ import annotations
@@ -141,15 +141,18 @@ def _run_forked(cells: Sequence[ScenarioConfig], n: int) -> List[CellOutcome]:
     workers: List[List] = []    # [pid, read end of its pipe]; pid None once reaped
     try:
         for k in range(n):
-            read_fd, write_fd = os.pipe()
+            # no pipe (EMFILE, ENFILE) or no process (EAGAIN, ENOMEM) could
+            # be had: this worker's cells and every later one's run here
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                break
             workers.append([None, read_fd])
             try:
                 pid = os.fork()
                 if pid == 0:
                     _worker(cells[k::n], read_fd, write_fd)
             except OSError:
-                # no process could be started (EAGAIN, ENOMEM): this
-                # worker's cells and every later one's run here instead
                 workers.pop()
                 os.close(read_fd)
                 break

@@ -57,7 +57,6 @@ class CollisionClass(enum.Enum):
 @dataclass
 class CorReport:
     cor: Optional[float]            # None: only the baseline moved traffic
-    energy_ratio: Optional[float]
     collision_class: CollisionClass
 
 
@@ -66,12 +65,6 @@ def cor(after_throughput: float, before_throughput: float) -> Optional[float]:
     if before_throughput <= 0:
         return None
     return after_throughput / before_throughput
-
-
-def energy_ratio(cor_value: float) -> float:
-    if cor_value < 0:
-        raise ValueError("cor must be nonnegative")
-    return cor_value * cor_value
 
 
 def classify_collision(cor_value: float) -> CollisionClass:
@@ -93,7 +86,6 @@ def make_cor_report(baseline_kbps: float, rerouted_kbps: float) -> CorReport:
     # still None: only the baseline moved traffic, so rerouting lost all of it
     return CorReport(
         cor=ratio,
-        energy_ratio=None if ratio is None else energy_ratio(ratio),
         collision_class=(CollisionClass.REGRESSION if ratio is None
                          else classify_collision(ratio)),
     )

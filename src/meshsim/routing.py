@@ -1,15 +1,13 @@
-"""Route state and selection: EWMA link estimation, distance-vector
-cumulative RTT toward the gateway, potential-field next-hop choice, and
-on-demand route discovery under hop-count or RTT metrics.
+"""Route state and selection: EWMA link estimation, hellos, and on-demand
+route discovery under hop-count or RTT metrics.
 
 The engine forwards every packet, gateway-bound or not, on routes that
 `aodv_discover` resolves under the phase's metric and installs in each node's
 `RouteTable`.  A hello carries no advert: its receiver only notes when the
 sender was last heard, and its MAC exchange gives the sender an RTT sample
-of the link.  `cumulative_rtt` (one distance-vector step toward the gateway)
-and the potential field (`converge_potentials`, `next_hop_select`) are
-library code that states the loop-free fixed point such steps converge to;
-nothing in the engine advertises or reads them.
+of the link.  The engine never calls `cumulative_rtt` (one distance-vector
+step toward the gateway); it stays because the benchmark's tracer times it
+by name.
 
 The route lifecycle (discovery, install, re-evaluation, switching) is
 described once, in the `engine` module docstring; the engine drives it with
@@ -128,54 +126,6 @@ def cumulative_rtt(node: int, neighbors: Iterable[Tuple[NeighborRecord, float]],
             continue
         best = min(best, rec.link_estimator.average_rtt + advertised_ms)
     return best
-
-
-@dataclass
-class PotentialField:
-    value_by_node: Dict[int, float]
-    gateway: int
-
-    def __post_init__(self):
-        if self.value_by_node.get(self.gateway) != 0.0:
-            raise ValueError("gateway potential must be 0")
-
-
-def next_hop_select(fld: PotentialField, v: int, candidates: Iterable[int]) -> int:
-    """Neighbor with the least remaining delay to the gateway; ties to lowest id."""
-    pool = [w for w in candidates if w in fld.value_by_node
-            and not math.isinf(fld.value_by_node[w])]
-    if not pool:
-        raise NoRouteError(f"node {v} has no routable neighbor")
-    return min(pool, key=lambda w: (fld.value_by_node[w], w))
-
-
-def converge_potentials(adjacency: Dict[int, Iterable[int]], link_rtt,
-                        gateway: int) -> PotentialField:
-    """Iterate the neighbor-minimum rule to a fixed point (synchronous sweeps).
-
-    link_rtt(v, w) is the measured per-link average in ms and must be
-    nonnegative.  The fixed point equals single-source shortest path costs.
-    """
-    nodes = sorted(adjacency)
-    values = {v: math.inf for v in nodes}
-    values[gateway] = 0.0
-    for _ in range(len(nodes) + 1):
-        changed = False
-        for v in nodes:
-            if v == gateway:
-                continue
-            best = math.inf
-            for w in sorted(adjacency[v]):
-                cost = link_rtt(v, w)
-                if cost < 0:
-                    raise SimulationFault(f"negative link cost on {v}-{w}")
-                best = min(best, cost + values[w])
-            if best != values[v]:
-                values[v] = best
-                changed = True
-        if not changed:
-            break
-    return PotentialField(value_by_node=values, gateway=gateway)
 
 
 def aodv_discover(adjacency: Dict[int, Iterable[int]], src: int, dst: int,

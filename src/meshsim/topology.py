@@ -91,12 +91,6 @@ class Topology:
         a, b = self.by_id[u], self.by_id[v]
         return math.hypot(a.x - b.x, a.y - b.y)
 
-    def node_ids(self) -> List[int]:
-        return [n.node_id for n in self.nodes]
-
-    def is_connected(self) -> bool:
-        return _connected(self.comm_adjacency)
-
 
 def _comm_adjacency(by_x: List[Tuple[float, float, int]],
                     channel_sets: Dict[int, Set[int]]) -> Dict[int, Set[int]]:

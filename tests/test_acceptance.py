@@ -11,10 +11,12 @@ import ast
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import meshsim
 from meshsim import cli
 from meshsim.channel import SeparationClass, classify, interference_factor
 from meshsim.config import parse_config
@@ -23,12 +25,10 @@ from meshsim.experiment import corciar_run, median_cells, sweep
 from meshsim.mac import (Frame, FrameKind, RtsDecision, handle_rts_qos,
                          handle_rts_delay_tolerant, hop_delay)
 from meshsim.metrics import cor
-from meshsim.routing import RouteMetric, RttEstimator, converge_potentials, \
-    next_hop_select
+from meshsim.routing import RouteMetric, RttEstimator
 
 from test_engine import chain_cfg, mesh8_cfg, next_hops
 from test_metrics import EXCLUDED_ROW, REFERENCE_RATIOS
-from test_routing import _dijkstra_oracle, _random_connected_graph
 
 CHANNELS = range(1, 12)
 
@@ -141,32 +141,6 @@ def test_hop_delay_decomposition():
     assert hop_delay(instant, 1e6)[2] == 0.008
     print("\nhop delay: 10000 random triples decompose consistently, "
           "1000 B at 1 Mbps serializes in exactly 8 ms")
-
-
-def test_potential_field_matches_shortest_paths():
-    t0 = time.monotonic()
-    rng = random.Random(31337)
-    for _ in range(200):
-        adjacency, costs = _random_connected_graph(rng)
-        gateway = 0
-        fld = converge_potentials(adjacency, lambda u, v: costs[(u, v)],
-                                  gateway)
-        oracle = _dijkstra_oracle(adjacency, costs, gateway)
-        for v in adjacency:
-            assert fld.value_by_node[v] == pytest.approx(oracle[v], abs=1e-9)
-        # next hops strictly descend the potential, so no forwarding loop
-        for v in adjacency:
-            cur, hops = v, 0
-            while cur != gateway:
-                nxt = next_hop_select(fld, cur, adjacency[cur])
-                assert fld.value_by_node[nxt] < fld.value_by_node[cur]
-                cur = nxt
-                hops += 1
-                assert hops <= len(adjacency)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 30.0
-    print(f"\npotential field: 200 random graphs match the shortest-path "
-          f"oracle, loop-free ({elapsed:.1f}s)")
 
 
 def test_jammed_mesh_rerouting():
@@ -348,3 +322,62 @@ def test_package_reads_every_name_it_imports():
         f"imported but never read (or a stale allowlist entry): {unread}"
     print(f"\nevery import read: {len(list(src.glob('*.py')))} modules, "
           f"allowlisted {list(UNREAD_IMPORTS)}")
+
+
+# definitions nothing but tests reads yet, each kept for its planned reader
+ONLY_TESTS_READ = (
+    # ROADMAP item 4's fuzzer round-trips each generated config through it
+    ("config", "serialize"),
+    # ROADMAP item 2's stats take each hop's queue and contention delay from it
+    ("mac", "hop_delay"),
+)
+
+
+def _definitions(tree):
+    """(qualified name, node) for every module-level function and class and
+    every method; dunders are skipped."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for stmt in tree.body:
+        if not isinstance(stmt, defs):
+            continue
+        yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, defs) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield f"{stmt.name}.{member.name}", member
+
+
+def _names_in(tree, strings=False):
+    """Every Name id and Attribute attr under tree, and with strings also
+    every string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_package_defines_nothing_only_tests_read():
+    root = Path(__file__).resolve().parent.parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "meshsim").glob("*.py"))}
+    in_package = Counter(name for tree in trees.values() for name in _names_in(tree))
+    # the benchmark's tracer names what it patches as strings
+    elsewhere = set(meshsim.__all__)
+    for path in sorted((root / "benchmark").glob("*.py")):
+        elsewhere.update(_names_in(ast.parse(path.read_text(encoding="utf-8")),
+                                   strings=True))
+    unread = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            # a definition's own body (recursion, self-reference) is no reader
+            outside_own_body = in_package[node.name] - Counter(_names_in(node))[node.name]
+            if outside_own_body == 0 and node.name not in elsewhere:
+                unread.append((module, qualname))
+    assert unread == list(ONLY_TESTS_READ), \
+        f"defined but read only by tests (or a stale allowlist entry): {unread}"
+    print(f"\nno test-only definitions: {len(trees)} modules, "
+          f"allowlisted {list(ONLY_TESTS_READ)}")

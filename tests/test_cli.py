@@ -409,19 +409,24 @@ def test_forked_sweep_is_identical_to_serial(tmp_path, monkeypatch):
     assert forked_rows == direct
 
 
-def test_sweep_runs_here_the_cells_of_a_worker_that_could_not_start(tmp_path, monkeypatch):
+@pytest.mark.parametrize("call, error", [
+    ("fork", BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+    ("pipe", OSError(errno.EMFILE, os.strerror(errno.EMFILE))),
+], ids=["fork", "pipe"])
+def test_sweep_runs_here_the_cells_of_a_worker_that_could_not_start(
+        tmp_path, monkeypatch, call, error):
     cfg = write_cfg(tmp_path, "sim_time_s = 4.0\nchannel_plan = overlapping\n")
     forks = count_forks(monkeypatch)
-    counted_fork = os.fork
+    real_call = getattr(os, call)
     calls = []
 
-    def fork():
+    def refuse_second():
         calls.append(None)
-        if len(calls) == 2:     # the system refuses the second worker
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return counted_fork()
+        if len(calls) == 2:     # the second worker gets no fork, or no pipe
+            raise error
+        return real_call()
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, call, refuse_second)
     cpus(monkeypatch, 3)        # worker 0 starts; the cells of 1 and 2 run here
     out = tmp_path / "out.csv"
     args = ["sweep", "--hops", "2,3", "--seeds", "1..4", "--config", cfg]

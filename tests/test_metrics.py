@@ -9,7 +9,6 @@ from meshsim.metrics import (
     RunSummary,
     classify_collision,
     cor,
-    energy_ratio,
     make_cor_report,
     summarize,
 )
@@ -64,17 +63,6 @@ def test_cor_edge_cases():
     assert cor(100.0, 0.0) is None
 
 
-def test_energy_ratio_is_square():
-    assert energy_ratio(1.0) == 1.0
-    assert energy_ratio(0.5) == 0.25
-    assert energy_ratio(0.869701) == pytest.approx(0.756380, abs=1e-6)
-    for after, before, _ in REFERENCE_RATIOS:
-        c = cor(after, before)
-        assert energy_ratio(c) == pytest.approx((after / before) ** 2, rel=1e-12)
-    with pytest.raises(ValueError):
-        energy_ratio(-0.1)
-
-
 def test_classification_boundaries():
     assert classify_collision(1.0) is CollisionClass.PERFECTLY_ELASTIC
     assert classify_collision(0.0) is CollisionClass.INELASTIC
@@ -109,7 +97,6 @@ def test_cor_report_assembly():
     report = make_cor_report(baseline_kbps=154.658, rerouted_kbps=177.829)
     assert isinstance(report, CorReport)
     assert report.cor == pytest.approx(0.869701, abs=1e-4)
-    assert report.energy_ratio == pytest.approx(report.cor ** 2)
     assert report.collision_class is CollisionClass.PARTIALLY_ELASTIC
     dead = make_cor_report(0.0, 0.0)
     assert dead.cor == 0.0 and dead.collision_class is CollisionClass.INELASTIC
@@ -120,7 +107,7 @@ def test_rerouted_phase_that_moved_nothing_is_a_regression():
     # ratio, so the cor cell stays empty rather than reading Inelastic's 0
     lost = make_cor_report(baseline_kbps=100.0, rerouted_kbps=0.0)
     assert lost.collision_class is CollisionClass.REGRESSION
-    assert lost.cor is None and lost.energy_ratio is None
+    assert lost.cor is None
 
 
 def test_delivery_ratio():

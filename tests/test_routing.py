@@ -1,4 +1,4 @@
-"""EWMA estimation, cumulative RTT convergence, next-hop choice, discovery."""
+"""EWMA estimation, cumulative RTT, discovery."""
 
 import math
 import random
@@ -9,15 +9,12 @@ from meshsim.mac import SimulationFault
 from meshsim.routing import (
     NeighborRecord,
     NoRouteError,
-    PotentialField,
     RouteEntry,
     RouteMetric,
     RouteTable,
     RttEstimator,
     aodv_discover,
-    converge_potentials,
     cumulative_rtt,
-    next_hop_select,
     process_hello,
     rtt_sample,
 )
@@ -125,20 +122,6 @@ def test_cumulative_rtt_skips_unusable_neighbors():
     assert math.isinf(got)
 
 
-def test_force_and_selection():
-    fld = PotentialField({0: 0.0, 4: 30.0, 7: 30.0, 8: 25.0, 9: 40.0, 5: 60.0, 6: 80.0}, gateway=0)
-    assert next_hop_select(fld, 5, [9, 8]) == 8
-    assert next_hop_select(fld, 5, [9]) == 9
-    assert next_hop_select(fld, 5, [7, 4]) == 4  # equal potentials, lowest id
-    with pytest.raises(NoRouteError):
-        next_hop_select(fld, 5, [])
-
-
-def test_potential_field_requires_zero_gateway():
-    with pytest.raises(ValueError):
-        PotentialField({0: 1.0, 1: 2.0}, gateway=0)
-
-
 def _random_connected_graph(rng, max_nodes=12):
     n = rng.randint(2, max_nodes)
     nodes = list(range(n))
@@ -194,29 +177,6 @@ def _bfs_oracle(adjacency, source):
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def test_converged_potentials_match_shortest_paths_and_stay_loop_free():
-    rng = random.Random(20260815)
-    for _ in range(200):
-        adjacency, costs = _random_connected_graph(rng)
-        gateway = 0
-        fld = converge_potentials(adjacency, lambda u, v: costs[(u, v)], gateway)
-        oracle = _dijkstra_oracle(adjacency, costs, gateway)
-        for v in adjacency:
-            assert fld.value_by_node[v] == pytest.approx(oracle[v], abs=1e-9)
-        for v in adjacency:
-            if v == gateway:
-                continue
-            hops = 0
-            cur = v
-            while cur != gateway:
-                nxt = next_hop_select(fld, cur, adjacency[cur])
-                assert fld.value_by_node[nxt] < fld.value_by_node[cur]
-                cur = nxt
-                hops += 1
-                assert hops <= len(adjacency)
-            assert cur == gateway
 
 
 def test_discover_hop_count_equals_bfs_distance():
