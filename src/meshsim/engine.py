@@ -325,6 +325,8 @@ class Sim:
     # -- plumbing ---------------------------------------------------------
 
     def schedule(self, t: float, label: str, node: int, fn, *args):
+        """Run fn(*args) at time t, traced as `label` at `node`.  Every event
+        enters the heap here, carrying its trace tag."""
         if t < self.now:
             raise SimulationFault(f"scheduling into the past: {t} < {self.now}")
         heappush(self._heap, (t, next(self._ordinals), trace_tag(label, node), fn, args))
@@ -461,9 +463,12 @@ class Sim:
     def _rts_arrival(self, rx_radio: MacRadioState, tx_radio: MacRadioState, frame: Frame):
         if rx_radio.exchange is not None or self.now < rx_radio.rx_engaged_until:
             return
-        active = [r.channel for r in self.nodes[rx_radio.node_id].radios
-                  if r is not rx_radio
-                  and (r.exchange is not None or r.rx_engaged_until > self.now)]
+        # a plain loop: a comprehension costs a frame of its own before 3.12
+        active = []
+        for r in self.nodes[rx_radio.node_id].radios:
+            if r is not rx_radio \
+                    and (r.exchange is not None or r.rx_engaged_until > self.now):
+                active.append(r.channel)
         if active and self.rts_decide(rx_radio.channel, active,
                                       mode=self.rts_mode) is RtsDecision.DEFER:
             return

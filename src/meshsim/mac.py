@@ -148,7 +148,7 @@ class BackoffOutcome(enum.Enum):
     SUCCESS = "Success"
 
 
-@dataclass
+@dataclass(slots=True)
 class BackoffState:
     cw: int = CW_MIN
     retries: int = 0

@@ -129,6 +129,31 @@ def test_scheduling_into_the_past_faults():
         sim.schedule(4.0, "TimerFire", 0, lambda: None)
 
 
+def test_every_event_enters_the_heap_through_schedule(monkeypatch):
+    # the benchmark's tracer counts Sim.schedule calls as the events pushed,
+    # and schedule is where each event gets its trace tag
+    pushes, schedules = [], []
+    heappush, schedule = engine.heappush, Sim.schedule
+
+    def counted_push(heap, entry):
+        pushes.append(entry[2])
+        heappush(heap, entry)
+
+    def counted_schedule(sim, t, label, node, fn, *args):
+        schedules.append(engine.trace_tag(label, node))
+        schedule(sim, t, label, node, fn, *args)
+
+    monkeypatch.setattr(engine, "heappush", counted_push)
+    monkeypatch.setattr(Sim, "schedule", counted_schedule)
+    res = Sim(chain_cfg(4, channel_plan="pcl", sim_time_s=8.0),
+              RouteMetric.AVG_RTT, "corciar").run()
+    assert len(schedules) >= res.dispatched_events > 0
+    assert pushes == schedules
+    # the run reaches every dispatch label; pcl adds BeaconTick
+    assert {tag.split()[0].decode() for tag in pushes} == {
+        "FrameArrival", "TimerFire", "HelloTick", "BeaconTick", "FlowSendWindow", "RtoExpiry"}
+
+
 def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
     sim = Sim(chain_cfg(3, window=5), RouteMetric.HOP_COUNT, "aodv_hop")
     flow = sim.flows[0]

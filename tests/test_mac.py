@@ -229,5 +229,17 @@ def test_pop_head_promotes_successor():
 def test_radio_clock_must_not_rewind():
     radio = MacRadioState(node_id=1, channel=6, capacity=50)
     radio.enqueue(_frame(), 5.0)
-    with pytest.raises(SimulationFault):
+    rewound = "radio clock moved backwards: 4.0 < 5.0"
+    # each primitive checks the radio's clock before it touches the queue
+    with pytest.raises(SimulationFault, match=rewound):
         radio.enqueue(_frame(1), 4.0)
+    with pytest.raises(SimulationFault, match=rewound):
+        radio.release_head_to_medium(4.0)
+    assert radio.queue[0].t_next is None
+    with pytest.raises(SimulationFault, match=rewound):
+        radio.pop_head(4.0)
+    assert len(radio.queue) == 1
+    # the clock stays where it was: the same instant is accepted by all three
+    assert radio.release_head_to_medium(5.0).t_next == 5.0
+    assert radio.pop_head(5.0).seq == 0
+    assert radio.enqueue(_frame(2), 5.0) is EnqueueResult.ACCEPTED
