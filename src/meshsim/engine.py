@@ -83,7 +83,6 @@ from .routing import (
     DISCOVERY_ATTEMPTS,
     DISCOVERY_TIMEOUT,
     NeighborRecord,
-    NoRouteError,
     RouteEntry,
     RouteMetric,
     RouteTable,
@@ -156,13 +155,19 @@ class Jammer:
         return math.floor(t / self.period) * self.period + self.on_s
 
     def overlaps(self, t0: float, t1: float) -> bool:
+        """Whether [t0, t1) meets an on-period: the first one that ends
+        after t0 must start before t1, and that is the on-period of the
+        cycle t0 falls in or of the next."""
         k = math.floor(t0 / self.period)
-        while k * self.period < t1:
-            start = k * self.period
-            if start < t1 and start + self.on_s > t0:
+        for start in (k * self.period, (k + 1) * self.period):
+            if start >= t1:
+                return False
+            if start + self.on_s > t0:
                 return True
-            k += 1
-        return False
+        # reached only when the period is below the float spacing of t0, so
+        # that (k + 1) * period rounds back to k * period: an interval
+        # longer than the silent gap then meets an on-period
+        return t1 - t0 > self.period - self.on_s
 
 
 class Transmission:
@@ -661,21 +666,13 @@ class Sim:
         return sum(c for c in (self._measured_cost(u, v) for u, v in links)
                    if not math.isinf(c))
 
-    def _search(self, src: int, dst: int, metric: RouteMetric) -> Optional[List[int]]:
-        """The least-cost path under metric; None when there is none, which
-        under AVG_RTT means every path has a link with no usable measurement."""
-        try:
-            return aodv_discover(self.topo.comm_adjacency, src, dst, metric,
-                                 link_cost=self._measured_cost)
-        except NoRouteError:
-            return None
-
     def _best_path(self, src: int, dst: int) -> Optional[List[int]]:
         """Discovery's path: least measured RTT under AVG_RTT, else fewest
         hops (when no path has every link measured); None when none exists."""
-        path = self._search(src, dst, RouteMetric.AVG_RTT) \
+        adjacency = self.topo.comm_adjacency
+        path = aodv_discover(adjacency, src, dst, link_cost=self._measured_cost) \
             if self.metric is RouteMetric.AVG_RTT else None
-        return path or self._search(src, dst, RouteMetric.HOP_COUNT)
+        return path or aodv_discover(adjacency, src, dst)
 
     def _request_discovery(self, src: int, dst: int):
         if (src, dst) not in self._discovering:
@@ -747,7 +744,9 @@ class Sim:
             self._attempt_discovery(src, dst, 1)
             return
         current = self._flow_paths[(src, dst)]
-        best = self._search(src, dst, RouteMetric.AVG_RTT)
+        # None when every path has a link with no usable measurement
+        best = aodv_discover(self.topo.comm_adjacency, src, dst,
+                             link_cost=self._measured_cost)
         if best is not None and tuple(best) != current \
                 and self._path_cost(best) < self._path_cost(current) * REROUTE_GAIN:
             self._install_after_reply(src, dst, best)

@@ -2,12 +2,12 @@
 route discovery under hop-count or RTT metrics.
 
 The engine forwards every packet, gateway-bound or not, on routes that
-`aodv_discover` resolves under the phase's metric and installs in each node's
-`RouteTable`.  A hello carries no advert: its receiver only notes when the
-sender was last heard, and its MAC exchange gives the sender an RTT sample
-of the link.  The engine never calls `cumulative_rtt` (one distance-vector
-step toward the gateway); it stays because the benchmark's tracer times it
-by name.
+`aodv_discover` resolves under the phase's link cost and installs in each
+node's `RouteTable`.  A hello carries no advert: its receiver only notes
+when the sender was last heard, and its MAC exchange gives the sender an RTT
+sample of the link.  The engine never calls `cumulative_rtt` (one
+distance-vector step toward the gateway); it stays because the benchmark's
+tracer times it by name.
 
 The route lifecycle (discovery, install, re-evaluation, switching) is
 described once, in the `engine` module docstring; the engine drives it with
@@ -29,10 +29,6 @@ HELLO_TIMEOUT = 3.0 * HELLO_INTERVAL   # three missed hellos
 ROUTE_LIFETIME = 10.0
 DISCOVERY_TIMEOUT = 1.0
 DISCOVERY_ATTEMPTS = 3
-
-
-class NoRouteError(Exception):
-    """No usable path to the destination."""
 
 
 class RouteMetric(enum.Enum):
@@ -129,24 +125,22 @@ def cumulative_rtt(node: int, neighbors: Iterable[Tuple[NeighborRecord, float]],
 
 
 def aodv_discover(adjacency: Dict[int, Iterable[int]], src: int, dst: int,
-                  metric: RouteMetric, link_cost=None) -> List[int]:
-    """Resolve one route on the control plane's connectivity graph.
+                  link_cost=None) -> Optional[List[int]]:
+    """Resolve one route on the control plane's connectivity graph: the
+    least-cost path from src to dst, or None when no usable path exists or
+    an endpoint is unknown.
 
     A request flood with duplicate suppression, uniform per-hop control
     latency, and lowest-id tie-breaks settles on exactly the least-cost
-    path, so the flood is computed in closed form here: unit costs for the
-    hop-count metric, measured link RTTs otherwise.
+    path, so the flood is computed in closed form here: link_cost(u, v) per
+    link, where a negative or infinite cost makes the link unusable, and
+    hop count when no link_cost is given.
     """
     if src == dst:
         raise ValueError("source equals destination")
     if src not in adjacency or dst not in adjacency:
-        raise NoRouteError(f"unknown endpoint {src!r} or {dst!r}")
-    if metric is RouteMetric.HOP_COUNT:
-        cost_fn = lambda u, v: 1.0
-    else:
-        if link_cost is None:
-            raise ValueError("RTT metric needs link costs")
-        cost_fn = link_cost
+        return None
+    cost_fn = link_cost if link_cost is not None else lambda u, v: 1.0
 
     dist = {src: 0.0}
     parent = {}
@@ -167,7 +161,7 @@ def aodv_discover(adjacency: Dict[int, Iterable[int]], src: int, dst: int,
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
     if dst not in dist:
-        raise NoRouteError(f"no path {src} -> {dst}")
+        return None
     path = [dst]
     while path[-1] != src:
         path.append(parent[path[-1]])

@@ -9,12 +9,11 @@ on demand.  Each table maps a node id to other node ids:
 - `interference_candidates`: the nodes within INTERFERENCE_RANGE_M, whose
   transmissions can matter there (a list sorted by id).
 
-Each table is built once, on its first read, by a pass over the nodes in x
-order, and then kept as a plain attribute.  `build_random` accepts or
-rejects each uniform placement on its communication graph alone, so a
-rejected placement costs its draws and that graph, with no Node objects; the
-kept placement's Topology takes that graph over, and its interference lists
-are built when the engine first reads them.
+The constructor builds each table by one pass over the nodes in x order.
+`build_random` accepts or rejects each uniform placement on its
+communication graph alone, so a rejected placement costs its draws and that
+graph, with no Node objects; the kept placement's Topology is handed that
+graph and builds only its interference lists.
 
 Named channel plans are per-link cycles for chains and per-node cycles for
 random layouts; with two radios and a three-channel cycle every node pair
@@ -56,11 +55,13 @@ class Node:
 
 
 class Topology:
-    """Nodes in id order, the gateway, and the two neighbour tables, each
-    built on its first read (see the module docstring)."""
+    """Nodes in id order, the gateway, and the two neighbour tables (see the
+    module docstring).  A caller that has already built the nodes'
+    communication graph passes it as comm_adjacency."""
 
     def __init__(self, nodes: List[Node], gateway: int,
-                 width: float = AREA_WIDTH_M):
+                 width: float = AREA_WIDTH_M,
+                 comm_adjacency: Optional[Dict[int, Set[int]]] = None):
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
         self.gateway = gateway
         self.by_id: Dict[int, Node] = {n.node_id: n for n in self.nodes}
@@ -70,22 +71,12 @@ class Topology:
             if not (0.0 <= n.x <= width and 0.0 <= n.y <= AREA_HEIGHT_M):
                 raise BuildError(f"node {n.node_id} at ({n.x}, {n.y}) outside "
                                  f"{width} x {AREA_HEIGHT_M} area")
-        # (x, y, node_id) in x order, the walk both tables are built from
-        self._by_x = sorted([(n.x, n.y, n.node_id) for n in self.nodes])
-
-    def __getattr__(self, name: str):
-        # reached only while a table is not yet an instance attribute; once
-        # set, later reads are plain attribute lookups
-        if name == "comm_adjacency":
-            table = _comm_adjacency(
-                self._by_x, {n.node_id: set(n.channels) for n in self.nodes})
-        elif name == "interference_candidates":
-            table = _interference_lists(self._by_x, self.by_id)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        setattr(self, name, table)
-        return table
+        by_x = sorted([(n.x, n.y, n.node_id) for n in self.nodes])
+        if comm_adjacency is None:
+            comm_adjacency = _comm_adjacency(
+                by_x, {n.node_id: set(n.channels) for n in self.nodes})
+        self.comm_adjacency = comm_adjacency
+        self.interference_candidates = _interference_lists(by_x, self.by_id)
 
     def distance(self, u: int, v: int) -> float:
         a, b = self.by_id[u], self.by_id[v]
@@ -216,15 +207,13 @@ def _placed(points: List[Tuple[float, float]], channels: List[Tuple[int, ...]],
             channel_sets: Dict[int, Set[int]]) -> Optional[Topology]:
     """The topology of a placement whose communication graph is connected,
     else None.  A placement is judged on that graph alone; the kept one's
-    Topology takes the graph over, and nodes are made only for it."""
+    Topology is handed the graph, and nodes are made only for it."""
     by_x = sorted((x, y, i) for i, (x, y) in enumerate(points))
     adjacency = _comm_adjacency(by_x, channel_sets)
     if not _connected(adjacency):
         return None
-    topo = Topology([Node(i, x, y, channels[i]) for i, (x, y) in enumerate(points)],
-                    gateway=0)
-    topo.comm_adjacency = adjacency
-    return topo
+    return Topology([Node(i, x, y, channels[i]) for i, (x, y) in enumerate(points)],
+                    gateway=0, comm_adjacency=adjacency)
 
 
 def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> Topology:
@@ -261,6 +250,13 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
     topo = _placed(positions, channels, channel_sets)
     if topo is not None:
         return topo
+    sharing = {u: {v for v in channel_sets
+                   if v != u and not mine.isdisjoint(channel_sets[v])}
+               for u, mine in channel_sets.items()}
+    if not _connected(sharing):
+        raise BuildError(f"no connected placement of {n} nodes can exist: the "
+                         f"channel plan splits them into groups that share no "
+                         f"channel")
     raise BuildError(f"no connected placement of {n} nodes in "
                      f"{MAX_PLACEMENT_ATTEMPTS} attempts; density too low for "
                      f"{TX_RANGE_M} m range")

@@ -5,10 +5,13 @@ import gc
 import hashlib
 import io
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,61 @@ def test_transport_gives_up_under_an_always_on_jammer(monkeypatch):
     assert callers.count("_rto_expiry") > 0
 
 
+def looped_overlap(jammer, t0, t1):
+    """Reference: walk the cycles from the one t0 falls in until one starts
+    at or after t1."""
+    k = math.floor(t0 / jammer.period)
+    while k * jammer.period < t1:
+        start = k * jammer.period
+        if start < t1 and start + jammer.on_s > t0:
+            return True
+        k += 1
+    return False
+
+
+def test_jammer_overlap_matches_a_walk_over_the_cycles():
+    jammer = engine.Jammer(1, 0.08, 0.01)
+    assert jammer.overlaps(0.0, 0.001) and jammer.overlaps(0.085, 0.0901)
+    assert jammer.overlaps(0.081, 0.5)
+    assert not jammer.overlaps(0.08, 0.09)        # exactly the silent gap
+    assert not jammer.overlaps(0.08, 0.0899)
+    rng = random.Random(11)
+    for _ in range(20000):
+        jammer = engine.Jammer(1, rng.choice((0.08, 1000.0, rng.uniform(1e-4, 2.0))),
+                               rng.choice((0.01, rng.uniform(1e-4, 2.0))))
+        k = rng.randrange(2000)
+        t0 = rng.choice((rng.uniform(0.0, 100.0), k * jammer.period,
+                         k * jammer.period + jammer.on_s))
+        t1 = rng.choice((t0 + rng.uniform(0.0, 0.05), (k + 1) * jammer.period,
+                         t0 + jammer.period - jammer.on_s,
+                         t0 + rng.uniform(0.0, 3.0 * jammer.period)))
+        assert jammer.overlaps(t0, t1) is looped_overlap(jammer, t0, t1), (
+            jammer.on_s, jammer.period, t0, t1)
+
+
+def test_jammer_period_below_the_float_spacing():
+    # (k + 1) * period rounds back to k * period at t0 = 3.5, so a walk over
+    # the cycles would never reach t1
+    jammer = engine.Jammer(1, 1e-100, 1e-100)
+    assert jammer.overlaps(3.5, 3.508)
+
+
+def test_run_with_a_jammer_period_below_the_float_spacing_ends(tmp_path):
+    # in a child process with a timeout, so a hang fails instead of stalling
+    path = tmp_path / "jammer.cfg"
+    path.write_text("jammer_channel = 1\njammer_on_s = 1e-300\n"
+                    "jammer_off_s = 1e-300\nsim_time_s = 5\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from meshsim.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == 2 and all(",0.000000,0.000000," in r for r in rows)
+
+
 def test_scheduling_into_the_past_faults():
     sim = Sim(chain_cfg(2), RouteMetric.HOP_COUNT, "x")
     sim.now = 5.0
@@ -206,18 +264,18 @@ def test_reevaluation_runs_one_search(monkeypatch):
     searches = []
     discover = engine.aodv_discover
 
-    def counted(adjacency, src, dst, metric, **kwargs):
-        searches.append(metric)
-        return discover(adjacency, src, dst, metric, **kwargs)
+    def counted(adjacency, src, dst, link_cost=None):
+        searches.append("rtt" if link_cost is not None else "hops")
+        return discover(adjacency, src, dst, link_cost=link_cost)
 
     monkeypatch.setattr(engine, "aodv_discover", counted)
     sim._route_reeval(flow.src, flow.dst)
-    assert searches == [RouteMetric.AVG_RTT]
+    assert searches == ["rtt"]
     assert sim._flow_paths[(flow.src, flow.dst)] == (0, 1, 2)
     assert not sim._discovering
     searches.clear()
     assert sim._best_path(flow.src, flow.dst) == [0, 1, 2]
-    assert searches == [RouteMetric.AVG_RTT, RouteMetric.HOP_COUNT]
+    assert searches == ["rtt", "hops"]
 
 
 def test_link_estimators_smooth_with_the_configured_delta():

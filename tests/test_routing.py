@@ -8,9 +8,7 @@ import pytest
 from meshsim.mac import SimulationFault
 from meshsim.routing import (
     NeighborRecord,
-    NoRouteError,
     RouteEntry,
-    RouteMetric,
     RouteTable,
     RttEstimator,
     aodv_discover,
@@ -187,19 +185,19 @@ def test_discover_hop_count_equals_bfs_distance():
         for dst in adjacency:
             if dst == 0:
                 continue
-            path = aodv_discover(adjacency, 0, dst, RouteMetric.HOP_COUNT)
+            path = aodv_discover(adjacency, 0, dst)
             assert path[0] == 0 and path[-1] == dst
             assert len(path) - 1 == bfs[dst]
 
 
 def test_discover_square_mesh_paths():
     adjacency = {5: {4, 7}, 4: {5, 6}, 7: {5, 6}, 6: {7, 4}}
-    assert aodv_discover(adjacency, 5, 4, RouteMetric.HOP_COUNT) == [5, 4]
+    assert aodv_discover(adjacency, 5, 4) == [5, 4]
     # direct link costing 120 ms loses to the 90 ms detour
     costs = {frozenset((5, 4)): 120.0, frozenset((5, 7)): 30.0,
              frozenset((7, 6)): 30.0, frozenset((6, 4)): 30.0}
     link = lambda u, v: costs[frozenset((u, v))]
-    path = aodv_discover(adjacency, 5, 4, RouteMetric.AVG_RTT, link_cost=link)
+    path = aodv_discover(adjacency, 5, 4, link_cost=link)
     assert path == [5, 7, 6, 4]
     assert sum(link(u, v) for u, v in zip(path, path[1:])) == pytest.approx(90.0)
 
@@ -212,7 +210,7 @@ def test_discover_rtt_cost_matches_oracle():
         for dst in adjacency:
             if dst == 0:
                 continue
-            path = aodv_discover(adjacency, 0, dst, RouteMetric.AVG_RTT,
+            path = aodv_discover(adjacency, 0, dst,
                                  link_cost=lambda u, v: costs[(u, v)])
             got = sum(costs[(u, v)] for u, v in zip(path, path[1:]))
             assert got == pytest.approx(oracle[dst], abs=1e-9)
@@ -220,19 +218,27 @@ def test_discover_rtt_cost_matches_oracle():
 
 def test_discover_equal_cost_tie_breaks_to_lowest_id():
     adjacency = {1: {2, 3}, 2: {1, 4}, 3: {1, 4}, 4: {2, 3}}
-    assert aodv_discover(adjacency, 1, 4, RouteMetric.HOP_COUNT) == [1, 2, 4]
+    assert aodv_discover(adjacency, 1, 4) == [1, 2, 4]
 
 
 def test_discover_error_cases():
     adjacency = {1: {2}, 2: {1}, 3: set()}
-    with pytest.raises(NoRouteError):
-        aodv_discover(adjacency, 3, 1, RouteMetric.HOP_COUNT)
-    with pytest.raises(NoRouteError):
-        aodv_discover(adjacency, 1, 9, RouteMetric.HOP_COUNT)
+    assert aodv_discover(adjacency, 3, 1) is None          # unreachable
+    assert aodv_discover(adjacency, 1, 9) is None          # unknown endpoint
+    assert aodv_discover(adjacency, 9, 1) is None
     with pytest.raises(ValueError):
-        aodv_discover(adjacency, 1, 1, RouteMetric.HOP_COUNT)
-    with pytest.raises(ValueError):
-        aodv_discover(adjacency, 1, 2, RouteMetric.AVG_RTT)
+        aodv_discover(adjacency, 1, 1)
+
+
+def test_discover_finds_no_path_when_every_path_has_an_unusable_link():
+    # the engine's least-RTT search relies on this: a path with an
+    # unmeasured (inf) link is no path, and hop count takes over
+    adjacency = {5: {4, 7}, 4: {5, 6}, 7: {5, 6}, 6: {7, 4}}
+    unmeasured = {frozenset((5, 4)), frozenset((7, 6))}
+    link = lambda u, v: math.inf if frozenset((u, v)) in unmeasured else 10.0
+    assert aodv_discover(adjacency, 5, 4, link_cost=link) is None
+    assert aodv_discover(adjacency, 5, 7, link_cost=link) == [5, 7]
+    assert aodv_discover(adjacency, 5, 4) == [5, 4]
 
 
 def test_hello_processing_creates_updates_expires():

@@ -111,7 +111,25 @@ def test_random_impossible_density_fails_with_diagnostic():
     # two single-radio nodes on disjoint channels can never form a link
     with pytest.raises(BuildError) as exc:
         build_random(2, seed=1, radios_per_node=1, channel_plan="1;6")
-    assert "density" in str(exc.value)
+    assert "channel plan splits them into groups that share no channel" \
+        in str(exc.value)
+
+
+@pytest.mark.parametrize("n, plan", [
+    (15, "orthogonal"), (15, "overlapping"), (15, "pcl"),   # one radio each
+    (3, "1;1;6"),
+])
+def test_random_blames_a_channel_plan_that_splits_the_nodes(n, plan):
+    with pytest.raises(BuildError, match="channel plan splits them into groups "
+                                         "that share no channel"):
+        build_random(n, seed=1, radios_per_node=1, channel_plan=plan)
+
+
+def test_random_blames_density_when_the_channel_plan_connects():
+    # 0 and 2 share no channel but both share one with 1, so the plan allows
+    # a connected graph; seed 18 draws none, uniform or anchored
+    with pytest.raises(BuildError, match="density too low"):
+        build_random(3, 18, radios_per_node=2, channel_plan="1,2;1,6;6,11")
 
 
 def test_mesh8_paths_and_isolation():
@@ -261,16 +279,12 @@ def test_rejected_placements_build_no_interference_lists(monkeypatch, n, seed, p
     spy = BuildSpy(monkeypatch)
     topo = build_random(n, seed, 2, "orthogonal")
     # every placement was judged on its communication graph; only the kept
-    # one has nodes, and its graph is taken over, not built again
+    # one has nodes and interference lists, and its graph is handed over,
+    # not built again
     assert spy.comm_passes == placements
     assert spy.nodes_made == n
-    assert spy.interference_passes == 0
-    assert "interference_candidates" not in vars(topo)
-    assert_tables_match_brute_force(topo)
-    assert spy.interference_passes == 1 and spy.comm_passes == placements
-    assert "interference_candidates" in vars(topo)      # a plain attribute now
-    topo.interference_candidates
     assert spy.interference_passes == 1
+    assert_tables_match_brute_force(topo)
 
 
 def placement_sha256(topo):
