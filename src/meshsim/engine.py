@@ -1,20 +1,7 @@
-"""Deterministic discrete-event core: the event loop, disc-model radio
-medium with partially-overlapped-channel corruption, the RTS/CTS + backoff
-exchange machinery, hello probing, on-demand route establishment, and a
-reliable windowed transport that generates RTT-measurable traffic.
-
-Medium model: a reception is corrupted when a transmission on a conflicting
-channel (interference factor above theta) from a sender within
-INTERFERENCE_RANGE_M of the receiver overlaps any part of its airtime, or
-when the jammer does.  In-flight transmissions of every channel are kept in
-one list ordered by end time, beside a list of those end times.  A query
-bisects the end times and visits only the frames that end after the instant
-it asks about (now for carrier sense, the reception's start for corruption),
-testing each one's channel against the receiver's conflicting set and its
-sender against the receiver's precomputed hearing set.  Registering a frame
-drops from the head of the list the transmissions that ended more than the
-largest frame's airtime ago: those can no longer overlap any reception still
-pending, so no interferer is lost to a time-horizon shortcut.
+"""Deterministic discrete-event core: the event loop, the RTS/CTS + backoff
+exchange machinery over the shared radio medium (`medium`), hello probing,
+on-demand route establishment, and a reliable windowed transport that
+generates RTT-measurable traffic.
 
 Determinism contract: one seeded generator drives every draw, events
 dispatch in (time, insertion ordinal) order, and all container iteration is
@@ -52,12 +39,11 @@ import hashlib
 import itertools
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .channel import ALL_CHANNELS, CHANNEL_MAX, INTERFERENCE_BY_SEPARATION
+from .channel import ALL_CHANNELS
 from .config import ScenarioConfig
 from .mac import (
     BackoffOutcome,
@@ -76,6 +62,7 @@ from .mac import (
     SimulationFault,
     rts_handler,
 )
+from .medium import Medium, Transmission
 from .metrics import FlowStats, RunSummary, summarize
 from .routing import (
     HELLO_INTERVAL,
@@ -93,12 +80,7 @@ from .routing import (
     process_hello,
     rtt_sample,
 )
-from .topology import (
-    INTERFERENCE_RANGE_M,
-    Topology,
-    build_topology,
-    resolve_flows,
-)
+from .topology import Topology, build_topology, resolve_flows
 
 CONTROL_HOP_LATENCY_S = 0.001
 FLOW_START_S = 3.0
@@ -127,57 +109,6 @@ def trace_tag(label: str, node: int) -> bytes:
     """The bytes that follow the time in an event's trace line; cached, one
     entry per label and node id, a handful of labels per node."""
     return (" " + _TAG_FORMAT % (label, node)).encode()
-
-
-@functools.lru_cache(maxsize=None)
-def conflicting_channels(theta: float) -> Tuple[FrozenSet[int], ...]:
-    """conflicting[b]: the channels whose transmissions disturb a radio on
-    channel b (symmetric); channels index it directly, so entry 0 is empty
-    padding."""
-    return tuple(
-        frozenset(a for a in ALL_CHANNELS
-                  if b > 0 and INTERFERENCE_BY_SEPARATION[abs(a - b)] > theta)
-        for b in range(CHANNEL_MAX + 1))
-
-
-class Jammer:
-    """Analytic periodic interferer: on for on_s, silent for off_s, from t=0."""
-
-    def __init__(self, channel: int, on_s: float, off_s: float):
-        self.channel = channel
-        self.on_s = on_s
-        self.period = on_s + off_s
-
-    def active(self, t: float) -> bool:
-        return (t % self.period) < self.on_s
-
-    def busy_end(self, t: float) -> float:
-        return math.floor(t / self.period) * self.period + self.on_s
-
-    def overlaps(self, t0: float, t1: float) -> bool:
-        """Whether [t0, t1) meets an on-period: the first one that ends
-        after t0 must start before t1, and that is the on-period of the
-        cycle t0 falls in or of the next."""
-        k = math.floor(t0 / self.period)
-        for start in (k * self.period, (k + 1) * self.period):
-            if start >= t1:
-                return False
-            if start + self.on_s > t0:
-                return True
-        # reached only when the period is below the float spacing of t0, so
-        # that (k + 1) * period rounds back to k * period: an interval
-        # longer than the silent gap then meets an on-period
-        return t1 - t0 > self.period - self.on_s
-
-
-class Transmission:
-    __slots__ = ("sender", "channel", "t_start", "t_end")
-
-    def __init__(self, sender: int, channel: int, t_start: float, t_end: float):
-        self.sender = sender
-        self.channel = channel
-        self.t_start = t_start
-        self.t_end = t_end
 
 
 class Exchange:
@@ -273,7 +204,6 @@ class Sim:
             "pcl_retunes": 0,
         }
 
-        self.conflicting = conflicting_channels(config.theta)
         self.rate = config.data_rate_bps
         self.rts_air = self._air(RTS_BYTES)
         self.cts_air = self._air(CTS_BYTES)
@@ -287,29 +217,13 @@ class Sim:
             n.node_id: NodeState(n.node_id, n.channels, config.queue_capacity, use_pcl)
             for n in self.topo.nodes
         }
-        # in-flight transmissions of every channel, ordered by t_end, and
-        # their end times, so a query can bisect to the frames still on air
-        self.on_air: List[Transmission] = []
-        self.on_air_ends: List[float] = []
-        # every sender whose transmissions reach node u, u itself included
-        self.hears: Dict[int, frozenset] = {
-            u: frozenset((u, *others))
-            for u, others in self.topo.interference_candidates.items()}
-        # no pending reception started before now - horizon; a slot of slack
-        # keeps the bound clear of float rounding in start + airtime
-        self.horizon = self._air(max(
+        # no pending reception started longer ago than the longest frame's
+        # airtime; a slot of slack keeps that bound clear of float rounding
+        # in start + airtime
+        self.medium = Medium(self.topo, config, self._air(max(
             config.packet_size_bytes, RTS_BYTES, CTS_BYTES, MAC_ACK_BYTES,
-            HELLO_BYTES, TRANSPORT_ACK_BYTES)) + SLOT_TIME
-
-        self.jammer = None
-        self.jammed: frozenset = frozenset()     # nodes within the jammer's reach
-        if config.jammer_channel is not None:
-            self.jammer = Jammer(config.jammer_channel, config.jammer_on_s,
-                                 config.jammer_off_s)
-            self.jammed = frozenset(
-                n.node_id for n in self.topo.nodes
-                if math.hypot(n.x - config.jammer_x, n.y - config.jammer_y)
-                <= INTERFERENCE_RANGE_M)
+            HELLO_BYTES, TRANSPORT_ACK_BYTES)) + SLOT_TIME)
+        self._register = self.medium.register
 
         # a flow's id is its index here
         self.flows: List[FlowRuntime] = [
@@ -351,56 +265,22 @@ class Sim:
 
     # -- medium -----------------------------------------------------------
 
-    def _register_tx(self, sender: int, channel: int, t_start: float, t_end: float) -> Transmission:
-        tx = Transmission(sender, channel, t_start, t_end)
-        on_air = self.on_air
-        ends = self.on_air_ends
-        expired = bisect_right(ends, self.now - self.horizon)
-        if expired:
-            del on_air[:expired]
-            del ends[:expired]
-        at = bisect_right(ends, t_end)
-        on_air.insert(at, tx)
-        ends.insert(at, t_end)
-        return tx
+    # the benchmark's tracer (benchmark/layers.py) patches and counts these
+    # two by name, so they stay methods of Sim that forward to the medium
 
     def carrier_busy(self, node_id: int, channel: int) -> Tuple[bool, float]:
-        now = self.now
-        busy = False
-        free_at = now
-        hears = self.hears[node_id]
-        conflicting = self.conflicting[channel]
-        # every frame visited ends after now; the list ascends by t_end, so
-        # the last one that disturbs the radio ends last
-        for tx in self.on_air[bisect_right(self.on_air_ends, now):]:
-            if tx.t_start <= now and tx.channel in conflicting and tx.sender in hears:
-                busy = True
-                free_at = tx.t_end
-        if node_id in self.jammed and self.jammer.channel in conflicting \
-                and self.jammer.active(now):
-            busy = True
-            free_at = max(free_at, self.jammer.busy_end(now))
-        return busy, free_at
+        return self.medium.carrier_busy(node_id, channel, self.now)
 
     def corrupted(self, node_id: int, channel: int, subject: Transmission) -> bool:
-        t0, t1 = subject.t_start, subject.t_end
-        hears = self.hears[node_id]
-        conflicting = self.conflicting[channel]
-        # every frame visited ends after the subject started
-        for tx in self.on_air[bisect_right(self.on_air_ends, t0):]:
-            if tx.t_start < t1 and tx.channel in conflicting and tx.sender in hears \
-                    and tx is not subject:
-                return True
-        return node_id in self.jammed and self.jammer.channel in conflicting \
-            and self.jammer.overlaps(t0, t1)
+        return self.medium.corrupted(node_id, channel, subject)
 
     def _transmit(self, sender: MacRadioState, receiver: Optional[MacRadioState],
                   start: float, airtime: float, on_arrival, *args) -> float:
         """Put one frame on the air from start for airtime seconds; unless
         receiver is None, it reaches on_arrival(receiver, *args) there if it
         arrives clean.  Returns the end of its airtime."""
-        tx = self._register_tx(sender.node_id, sender.channel, start,
-                               start + airtime)
+        tx = self._register(sender.node_id, sender.channel, start,
+                            start + airtime, self.now)
         if receiver is not None:
             self.schedule(tx.t_end, "FrameArrival", receiver.node_id,
                           self._receive, receiver, tx, on_arrival, args)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,10 @@ from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, TRACE_LINE, Sim
 from meshsim.experiment import corciar_run, execute
 from meshsim.mac import (CW_MAX, CW_MIN, DIFS, SLOT_TIME, BackoffOutcome,
                          BackoffState, SimulationFault)
+from meshsim.medium import Jammer, Medium
 from meshsim.metrics import CollisionClass
 from meshsim.routing import ROUTE_LIFETIME, RouteMetric, RouteTable
-from meshsim.topology import INTERFERENCE_RANGE_M
+from meshsim.topology import INTERFERENCE_RANGE_M, build_topology
 
 
 def chain_cfg(n, **kw):
@@ -138,15 +140,15 @@ def looped_overlap(jammer, t0, t1):
 
 
 def test_jammer_overlap_matches_a_walk_over_the_cycles():
-    jammer = engine.Jammer(1, 0.08, 0.01)
+    jammer = Jammer(1, 0.08, 0.01)
     assert jammer.overlaps(0.0, 0.001) and jammer.overlaps(0.085, 0.0901)
     assert jammer.overlaps(0.081, 0.5)
     assert not jammer.overlaps(0.08, 0.09)        # exactly the silent gap
     assert not jammer.overlaps(0.08, 0.0899)
     rng = random.Random(11)
     for _ in range(20000):
-        jammer = engine.Jammer(1, rng.choice((0.08, 1000.0, rng.uniform(1e-4, 2.0))),
-                               rng.choice((0.01, rng.uniform(1e-4, 2.0))))
+        jammer = Jammer(1, rng.choice((0.08, 1000.0, rng.uniform(1e-4, 2.0))),
+                        rng.choice((0.01, rng.uniform(1e-4, 2.0))))
         k = rng.randrange(2000)
         t0 = rng.choice((rng.uniform(0.0, 100.0), k * jammer.period,
                          k * jammer.period + jammer.on_s))
@@ -160,24 +162,52 @@ def test_jammer_overlap_matches_a_walk_over_the_cycles():
 def test_jammer_period_below_the_float_spacing():
     # (k + 1) * period rounds back to k * period at t0 = 3.5, so a walk over
     # the cycles would never reach t1
-    jammer = engine.Jammer(1, 1e-100, 1e-100)
+    jammer = Jammer(1, 1e-100, 1e-100)
     assert jammer.overlaps(3.5, 3.508)
 
 
+def test_jammer_quotient_overflow_matches_exact_arithmetic():
+    # periods so far below t that t / period overflows to inf: each answer
+    # equals the one exact rational arithmetic gives, rounded once
+    rng = random.Random(5)
+    active = 0
+    for _ in range(400):
+        jammer = Jammer(1, rng.choice((5e-324, 1e-320, rng.uniform(5e-324, 2e-309))),
+                        rng.choice((5e-324, 1e-320, rng.uniform(5e-324, 2e-309))))
+        period, on_s = Fraction(jammer.period), Fraction(jammer.on_s)
+        t0 = rng.choice((rng.uniform(1.0, 60.0), float(rng.randrange(1, 60))))
+        assert t0 / jammer.period == math.inf
+        k = math.floor(Fraction(t0) / period)
+        assert jammer.active(t0) is (Fraction(t0) - k * period < on_s)
+        if jammer.active(t0):
+            active += 1
+            assert jammer.busy_end(t0) == float(k * period + on_s)
+        # the first on-period that ends after t0 must start before t1
+        start = k * period if k * period + on_s > t0 else (k + 1) * period
+        for t1 in (math.nextafter(t0, math.inf), t0 + rng.uniform(0.0, 0.05),
+                   t0 + 1.0):
+            if t1 > t0:
+                assert jammer.overlaps(t0, t1) is (start < Fraction(t1)), (
+                    jammer.on_s, jammer.period, t0, t1)
+    assert 0 < active < 400
+
+
 def test_run_with_a_jammer_period_below_the_float_spacing_ends(tmp_path):
-    # in a child process with a timeout, so a hang fails instead of stalling
-    path = tmp_path / "jammer.cfg"
-    path.write_text("jammer_channel = 1\njammer_on_s = 1e-300\n"
-                    "jammer_off_s = 1e-300\nsim_time_s = 5\n", encoding="utf-8")
+    # in a child process with a timeout, so a hang fails instead of stalling;
+    # at 1e-320 the cycle index t / period overflows to inf
     env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from meshsim.cli import main; sys.exit(main(sys.argv[1:]))",
-         "run", str(path)],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()[1:]
-    assert len(rows) == 2 and all(",0.000000,0.000000," in r for r in rows)
+    for seconds in ("1e-300", "1e-320"):
+        path = tmp_path / "jammer.cfg"
+        path.write_text(f"jammer_channel = 1\njammer_on_s = {seconds}\n"
+                        f"jammer_off_s = {seconds}\nsim_time_s = 5\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from meshsim.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, (seconds, done.stderr)
+        rows = done.stdout.splitlines()[1:]
+        assert len(rows) == 2 and all(",0.000000,0.000000," in r for r in rows), seconds
 
 
 def test_scheduling_into_the_past_faults():
@@ -490,27 +520,33 @@ def test_long_frame_keeps_an_early_interferer():
     # a 40 ms frame at 200 kbit/s; an interferer 300 m from the receiver on
     # a conflicting channel ends 2 ms into it, then 70 more transmissions
     # from out of earshot fill the next 35 ms
-    sim = Sim(chain_cfg(6, data_rate_bps=200000), RouteMetric.HOP_COUNT, "x")
-    subject = sim._register_tx(0, 1, 0.0, 0.04)
-    sim._register_tx(2, 3, 0.0, 0.002)
+    cfg = chain_cfg(6, data_rate_bps=200000)
+    medium = Medium(build_topology(cfg), cfg, 0.04 + SLOT_TIME)
+    subject = medium.register(0, 1, 0.0, 0.04, 0.0)
+    medium.register(2, 3, 0.0, 0.002, 0.0)
     for i in range(70):
-        sim.now = 0.0025 + i * 0.0005
-        sim._register_tx(5, 3, sim.now, sim.now + 0.0004)
-    sim.now = subject.t_end
-    assert sim.corrupted(1, 1, subject)
+        now = 0.0025 + i * 0.0005
+        medium.register(5, 3, now, now + 0.0004, now)
+    assert medium.corrupted(1, 1, subject)
 
 
-class OracleSim(Sim):
-    """Keeps every transmission it registers and checks each medium answer
-    against a brute-force scan of that full list."""
+class OracleMedium(Medium):
+    """Keeps every transmission it registers and checks each answer against
+    a brute-force scan of that full list, which states the rule again from
+    distances and interference factors, with no bisect, pruning or
+    precomputed sets."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, topology, config, horizon):
+        super().__init__(topology, config, horizon)
+        self.topo = topology
+        self.config = config
+        self.reference_jammer = None if config.jammer_channel is None else Jammer(
+            config.jammer_channel, config.jammer_on_s, config.jammer_off_s)
         self.every_tx = []
-        self.answers = {"busy": 0, "idle": 0, "corrupt": 0, "clean": 0}
+        self.answers = {"busy": 0, "idle": 0, "corrupt": 0, "clean": 0, "jammer": 0}
 
-    def _register_tx(self, *args):
-        tx = super()._register_tx(*args)
+    def register(self, *args):
+        tx = super().register(*args)
         self.every_tx.append(tx)
         return tx
 
@@ -527,25 +563,29 @@ class OracleSim(Sim):
             and math.hypot(node.x - cfg.jammer_x,
                            node.y - cfg.jammer_y) <= INTERFERENCE_RANGE_M
 
-    def carrier_busy(self, node_id, channel):
-        got = super().carrier_busy(node_id, channel)
+    def carrier_busy(self, node_id, channel, now):
+        got = super().carrier_busy(node_id, channel, now)
         ends = [tx.t_end for tx in self.every_tx
-                if tx.t_start <= self.now < tx.t_end
+                if tx.t_start <= now < tx.t_end
                 and self._tx_disturbs(tx, node_id, channel)]
-        if self._jam_disturbs(node_id, channel) and self.jammer.active(self.now):
-            ends.append(self.jammer.busy_end(self.now))
-        assert got == (bool(ends), max([self.now, *ends]))
+        jammer = self.reference_jammer
+        if self._jam_disturbs(node_id, channel) and jammer.active(now):
+            ends.append(jammer.busy_end(now))
+            self.answers["jammer"] += 1
+        assert got == (bool(ends), max([now, *ends]))
         self.answers["busy" if got[0] else "idle"] += 1
         return got
 
     def corrupted(self, node_id, channel, subject):
         got = super().corrupted(node_id, channel, subject)
-        want = any(tx is not subject and tx.t_start < subject.t_end
-                   and tx.t_end > subject.t_start
-                   and self._tx_disturbs(tx, node_id, channel)
-                   for tx in self.every_tx) \
-            or (self._jam_disturbs(node_id, channel)
-                and self.jammer.overlaps(subject.t_start, subject.t_end))
+        jammed = self._jam_disturbs(node_id, channel) \
+            and self.reference_jammer.overlaps(subject.t_start, subject.t_end)
+        self.answers["jammer"] += jammed
+        want = jammed or any(
+            tx is not subject and tx.t_start < subject.t_end
+            and tx.t_end > subject.t_start
+            and self._tx_disturbs(tx, node_id, channel)
+            for tx in self.every_tx)
         assert got == want
         self.answers["corrupt" if got else "clean"] += 1
         return got
@@ -577,32 +617,101 @@ ORACLE_CASES = (
 )
 
 
-def test_medium_matches_brute_force_scan():
+def test_medium_matches_brute_force_scan(monkeypatch):
+    monkeypatch.setattr(engine, "Medium", OracleMedium)
     t0 = time.monotonic()
     sims = {}
     for name, cfg in ORACLE_CASES:
-        sim = sims[name] = OracleSim(cfg, RouteMetric.HOP_COUNT, "x")
+        sim = sims[name] = Sim(cfg, RouteMetric.HOP_COUNT, "x")
         sim.run()
-        seen = sim.answers
+        seen = dict(sim.medium.answers)
+        assert (seen.pop("jammer") > 0) is (cfg.jammer_channel is not None), name
         assert min(seen.values()) > 0, (name, seen)
     assert time.monotonic() - t0 < 10.0
     assert sims["chain5-pcl"].counters["pcl_retunes"] > 0
 
 
-class OrderedListSim(Sim):
+# times on a binary grid add up exactly, so frame ends often equal the
+# instant a query asks about or another frame's start
+TICK = 2.0 ** -13                       # about 122 us
+
+DIRECT_CASES = (
+    ("chain5-overlapping", chain_cfg(5, channel_plan="overlapping")),
+    ("random20", ScenarioConfig(topology=TopologySpec("random", 20), seed=1)),
+    # a short cycle, so frames outlast on-periods and the reverse, placed so
+    # that nodes lie on both sides of its reach
+    ("mesh8-jammer", ScenarioConfig(
+        topology=TopologySpec("mesh8"), jammer_channel=1, jammer_x=500.0,
+        jammer_y=100.0, jammer_on_s=0.003, jammer_off_s=0.002)),
+    ("mesh8-jammer-always-on", ScenarioConfig(
+        topology=TopologySpec("mesh8"), jammer_channel=1, jammer_x=100.0,
+        jammer_y=-80.0, jammer_on_s=1000.0)),
+    ("chain5-overlapping-theta0", chain_cfg(5, channel_plan="overlapping", theta=0.0)),
+    ("chain5-overlapping-theta1", chain_cfg(5, channel_plan="overlapping", theta=1.0)),
+)
+
+
+def drive_medium(cfg, seed, steps=400):
+    """A seeded random transmission set on cfg's topology, registered in time
+    order, with three carrier-sense and three corruption queries after each
+    registration; the oracle checks every answer."""
+    rng = random.Random(seed)
+    topo = build_topology(cfg)
+    durations = (1, 2, 3, 8, 66)        # in ticks; 66 is one 8 ms data frame
+    horizon = max(durations) * TICK + SLOT_TIME
+    medium = OracleMedium(topo, cfg, horizon)
+    tick = 0
+    for _ in range(steps):
+        tick += rng.choice((0, 1, 2, 6, 20, 40))
+        now = tick * TICK
+        sender = rng.choice(topo.nodes)
+        start = tick + rng.choice((0, 0, 1))
+        medium.register(sender.node_id, rng.choice(sender.channels), start * TICK,
+                        (start + rng.choice(durations)) * TICK, now)
+        recent = [tx for tx in medium.every_tx[-40:] if tx.t_start >= now - horizon]
+        for _ in range(3):
+            # mostly a channel the node has, sometimes any channel of the band
+            node = rng.choice(topo.nodes)
+            channel = rng.choice((*node.channels, rng.randint(1, 11)))
+            medium.carrier_busy(node.node_id, channel, now)
+            subject = rng.choice(recent)
+            node = rng.choice(topo.nodes)
+            channel = rng.choice((subject.channel, rng.randint(1, 11)))
+            medium.corrupted(node.node_id, channel, subject)
+    # the head of the list was pruned along the way
+    assert len(medium.on_air) < len(medium.every_tx)
+    return medium.answers
+
+
+def test_medium_matches_brute_force_on_random_transmissions():
+    t0 = time.monotonic()
+    for name, cfg in DIRECT_CASES:
+        seen = drive_medium(cfg, seed=len(name))
+        jam = seen.pop("jammer")
+        assert sum(seen.values()) == 2400, (name, seen)
+        assert (jam > 0) is (cfg.jammer_channel is not None), (name, jam)
+        if cfg.theta == 1.0:
+            # no interference factor exceeds 1, co-channel included
+            assert seen["busy"] == seen["corrupt"] == 0, (name, seen)
+        else:
+            assert min(seen.values()) > 0, (name, seen)
+    assert time.monotonic() - t0 < 1.0
+
+
+class OrderedListMedium(Medium):
     """Checks the in-flight list after every registration."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.registered = 0
         self.inserted = 0
 
-    def _register_tx(self, *args):
-        tx = super()._register_tx(*args)
+    def register(self, sender, channel, t_start, t_end, now):
+        tx = super().register(sender, channel, t_start, t_end, now)
         ends = [t.t_end for t in self.on_air]
         assert ends == sorted(ends)
         assert self.on_air_ends == ends
-        assert all(end > self.now - self.horizon for end in ends)
+        assert all(end > now - self.horizon for end in ends)
         assert any(t is tx for t in self.on_air)
         self.registered += 1
         self.inserted += self.on_air[-1] is not tx
@@ -610,10 +719,12 @@ class OrderedListSim(Sim):
 
 
 @pytest.mark.parametrize("name", ["random15-200kbps", "chain5-20-byte-data"])
-def test_in_flight_list_stays_ordered_and_pruned(name):
-    sim = OrderedListSim(dict(ORACLE_CASES)[name], RouteMetric.HOP_COUNT, "x")
+def test_in_flight_list_stays_ordered_and_pruned(name, monkeypatch):
+    monkeypatch.setattr(engine, "Medium", OrderedListMedium)
+    sim = Sim(dict(ORACLE_CASES)[name], RouteMetric.HOP_COUNT, "x")
     sim.run()
+    medium = sim.medium
     # both ways in: appended at the tail, and inserted ahead of a frame
     # that ends later; and the head was pruned along the way
-    assert 0 < sim.inserted < sim.registered
-    assert len(sim.on_air) < sim.registered
+    assert 0 < medium.inserted < medium.registered
+    assert len(medium.on_air) < medium.registered
