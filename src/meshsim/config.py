@@ -7,6 +7,8 @@ Each key is declared once, as a field of ScenarioConfig whose metadata holds
 its parser (with the range check and the exact error text), its canonical
 text form and its one-line doc.  Parsing, serialization, the README key
 table and the command line's seed flags all follow those declarations.
+The rules that tie keys together live in ScenarioConfig.__post_init__, so
+every config meets them however it was built.
 """
 
 from __future__ import annotations
@@ -196,7 +198,9 @@ class ScenarioConfig:
         100.0, _number(_SECONDS, lambda v: v < 0, ">= 0 seconds"),
         "simulated duration in seconds; `0` is an inert run")
     packet_size_bytes: int = _key(
-        1000, _integer(1), "size of a data frame on the air, in bytes")
+        1000, _integer(1, 2**50),
+        "size of a data frame on the air, in bytes; at most `2**50`, so every bit "
+        "count is an exact float")
     data_rate_bps: float = _key(
         1_000_000.0, _number(" (bits/second)", lambda v: v <= 0, "positive"),
         "radio bit rate in bits/second")
@@ -219,10 +223,31 @@ class ScenarioConfig:
     jammer_y: float = _key(0.0, _number(" (meters)"), "jammer y position in meters")
     jammer_on_s: float = _key(
         0.080, _number(_SECONDS, lambda v: v <= 0, "positive seconds"),
-        "jammer on time per period, seconds")
+        "jammer on time per period, seconds; with a jammer, at least "
+        "`math.ulp(sim_time_s)` (the float spacing at the run's last instant), "
+        "and on plus off time must be a finite number")
     jammer_off_s: float = _key(
         0.010, _number(_SECONDS, lambda v: v <= 0, "positive seconds"),
         "jammer silent time per period, seconds")
+
+    def __post_init__(self):
+        """Checked on every construction: parse_config, the seed flags, sweep
+        cells and direct calls alike.  A jammer schedule must be one the
+        float clock resolves: a finite period, and an on-period no shorter
+        than the float spacing at sim_time_s, so the cycle of every instant
+        of the run is exact."""
+        if self.jammer_channel is None:
+            return
+        errors = []
+        if not math.isfinite(self.jammer_on_s + self.jammer_off_s):
+            errors.append(f"jammer_on_s + jammer_off_s must be a finite number, "
+                          f"got {self.jammer_on_s!r} + {self.jammer_off_s!r}")
+        spacing = math.ulp(self.sim_time_s)
+        if self.jammer_on_s < spacing:
+            errors.append(f"jammer_on_s must be >= {spacing!r}, the float spacing "
+                          f"at sim_time_s = {self.sim_time_s!r}, got {self.jammer_on_s!r}")
+        if errors:
+            raise ConfigError(errors)
 
 
 _KEYS = {f.name: f for f in fields(ScenarioConfig)}

@@ -13,7 +13,9 @@ testing each one's channel against the receiver's conflicting set and its
 sender against the receiver's precomputed hearing set.  Registering a frame
 drops from the head of the list the transmissions that ended more than the
 largest frame's airtime ago: those can no longer overlap any reception still
-pending, so no interferer is lost to a time-horizon shortcut.
+pending, so no interferer is lost to a time-horizon shortcut.  The jammer's
+answers are exact for every schedule the config accepts; the config rejects
+those the float clock cannot resolve.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ def conflicting_channels(theta: float) -> Tuple[FrozenSet[int], ...]:
 
 
 class Jammer:
-    """Analytic periodic interferer: on for on_s, silent for off_s, from t=0."""
+    """Analytic periodic interferer: on for on_s, silent for off_s, from t=0.
+
+    Exact for every schedule the config accepts: a finite period and an
+    on-period no shorter than the float spacing at the run's last instant,
+    so t / period stays finite and consecutive cycle starts stay distinct."""
 
     def __init__(self, channel: int, on_s: float, off_s: float):
         self.channel = channel
@@ -51,28 +57,17 @@ class Jammer:
         return (t % self.period) < self.on_s
 
     def busy_end(self, t: float) -> float:
-        try:
-            return math.floor(t / self.period) * self.period + self.on_s
-        except OverflowError:   # period < 2**-1024 t: while active, the end rounds to t
-            return t
+        return math.floor(t / self.period) * self.period + self.on_s
 
     def overlaps(self, t0: float, t1: float) -> bool:
         """Whether [t0, t1) meets an on-period: the first one that ends
         after t0 must start before t1, and that is the on-period of the
         cycle t0 falls in or of the next."""
-        try:
-            k = math.floor(t0 / self.period)
-        except OverflowError:   # period < 2**-1024 t0: t1 > t0 spans a cycle
-            return t1 > t0
-        for start in (k * self.period, (k + 1) * self.period):
-            if start >= t1:
-                return False
-            if start + self.on_s > t0:
-                return True
-        # reached only when the period is below the float spacing of t0, so
-        # that (k + 1) * period rounds back to k * period: an interval
-        # longer than the silent gap then meets an on-period
-        return t1 - t0 > self.period - self.on_s
+        k = math.floor(t0 / self.period)
+        start = k * self.period
+        if start + self.on_s <= t0:
+            start = (k + 1) * self.period
+        return start < t1
 
 
 class Transmission:

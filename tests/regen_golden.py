@@ -1,7 +1,8 @@
 """Golden lock: the trace hash and CSV row of every phase of a small
 reference matrix, run through the command line.
 
-    python3 tests/regen_golden.py      # rewrites tests/data/golden_runs.txt
+    python3 tests/regen_golden.py           # rewrites tests/data/golden_runs.txt
+    python3 tests/regen_golden.py --check   # compares only; exit 1 on a change
 
 tests/test_golden.py reruns the matrix and compares it with the file line by
 line.  A change that alters any simulated output shows up as a changed line;
@@ -114,16 +115,18 @@ def lines_by_cell(lines):
 
 
 def main() -> int:
+    check = "--check" in sys.argv[1:]
     before = lines_by_cell(GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
                            if GOLDEN_PATH.exists() else [])
     lines = golden_lines()
     after = lines_by_cell(lines)
-    GOLDEN_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH}")
+    if not check:
+        GOLDEN_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {GOLDEN_PATH}")
     changed = [name for name in [*after, *(n for n in before if n not in after)]
                if before.get(name) != after.get(name)]
     print("changed cells: " + (", ".join(changed) if changed else "none"))
-    return 0
+    return 1 if check and changed else 0
 
 
 if __name__ == "__main__":

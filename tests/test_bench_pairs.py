@@ -92,3 +92,19 @@ def test_direction_and_bound_follow_the_metric():
     # 13.5 against 11.5 is 17% worse: beyond a 0.1 bound, within a 0.2 one
     assert not lower["within_bound"]
     assert bench_pairs.compare(_pairs(parent, change, "x"), "x", "lower", 0.2)["within_bound"]
+
+
+def test_wall_seconds_are_recorded_with_their_spread_and_no_verdict(tmp_path):
+    timed = tmp_path / "benchmark" / "out" / "dense-random" / "timed.json"
+    timed.parent.mkdir(parents=True)
+    timed.write_text(json.dumps({"round_wall_s": [2.0, 1.5, 3.0, 1.75]}))
+    assert bench_pairs.wall_median(tmp_path, "dense-random") == 1.875
+    pairs = [{"parent": {"wall_s": a}, "change": {"wall_s": b}}
+             for a, b in [(2.0, 1.5), (2.5, 2.5), (3.0, 2.0)]]
+    stats = bench_pairs.wall_spread(pairs + [{"parent": {}, "change": {}}])
+    assert stats["parent"]["median"] == 2.5 and stats["change"]["median"] == 2.0
+    assert stats["difference"]["median"] == -0.5 and stats["difference"]["n"] == 3
+    assert set(stats) == {"parent", "change", "difference"}
+    # rounds recorded before the field existed have no wall figures
+    bench = json.loads((ROOT / "BENCH_18.json").read_text(encoding="utf-8"))
+    assert bench_pairs.wall_spread(bench["workloads"]["dense-random"]["pairs"]) is None

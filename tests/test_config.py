@@ -1,5 +1,7 @@
 """Config grammar: defaults, validation messages, round-trip."""
 
+import dataclasses
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -94,11 +96,34 @@ def test_jammer_keys():
         parse_config("jammer_on_s = 0")
 
 
+@pytest.mark.parametrize("seconds,message", [
+    ("1e-300", "jammer_on_s must be >= 8.881784197001252e-16, the float spacing at "
+               "sim_time_s = 5.0, got 1e-300"),
+    ("1e-320", "jammer_on_s must be >= 8.881784197001252e-16, the float spacing at "
+               "sim_time_s = 5.0, got 1e-320"),
+    ("1e308", "jammer_on_s + jammer_off_s must be a finite number, got 1e+308 + 1e+308"),
+], ids=["1e-300", "1e-320", "1e308"])
+def test_jammer_schedule_the_float_clock_cannot_resolve_is_rejected(seconds, message):
+    text = f"jammer_channel = 1\njammer_on_s = {seconds}\njammer_off_s = {seconds}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text + "sim_time_s = 5\n")
+    assert exc.value.errors == [message]
+    # the rule holds however the config is built, and only with a jammer
+    cfg = parse_config(text.replace("jammer_channel = 1", "jammer_channel = none"))
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(cfg, jammer_channel=1, sim_time_s=5.0)
+    assert exc.value.errors == [message]
+    # the shortest on-period the rule accepts
+    shortest = parse_config(f"jammer_channel = 1\njammer_on_s = {math.ulp(5.0)!r}\n"
+                            "sim_time_s = 5\n")
+    assert shortest.jammer_on_s == math.ulp(5.0)
+
+
 def test_numeric_guards():
     for text in ("sim_time_s = -1", "packet_size_bytes = 0", "data_rate_bps = 0",
                  "delta = 1", "window = 0", "seed = -3", "radios_per_node = 0",
                  "radios_per_node = 12", "queue_capacity = 0",
-                 "packet_size_bytes = 1.5"):
+                 "packet_size_bytes = 1.5", f"packet_size_bytes = {10**400}"):
         with pytest.raises(ConfigError):
             parse_config(text)
     assert parse_config("sim_time_s = 0").sim_time_s == 0.0
@@ -144,6 +169,8 @@ ERROR_MESSAGES = [
     ("sim_time_s = soon", "line 1: sim_time_s must be a number (seconds), got 'soon'"),
     ("packet_size_bytes = 1.5", "line 1: packet_size_bytes must be an integer, got '1.5'"),
     ("packet_size_bytes = 0", "line 1: packet_size_bytes must be >= 1, got 0"),
+    ("packet_size_bytes = 1125899906842625",
+     "line 1: packet_size_bytes must be <= 1125899906842624, got 1125899906842625"),
     ("data_rate_bps = 0", "line 1: data_rate_bps must be positive"),
     ("data_rate_bps = fast", "line 1: data_rate_bps must be a number (bits/second), "
                              "got 'fast'"),

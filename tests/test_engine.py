@@ -5,14 +5,10 @@ import gc
 import hashlib
 import io
 import math
-import os
 import random
-import subprocess
 import sys
 import time
 import weakref
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -157,57 +153,41 @@ def test_jammer_overlap_matches_a_walk_over_the_cycles():
                          t0 + rng.uniform(0.0, 3.0 * jammer.period)))
         assert jammer.overlaps(t0, t1) is looped_overlap(jammer, t0, t1), (
             jammer.on_s, jammer.period, t0, t1)
+    # at the config's limit: an on-period of one float spacing of sim_time_s,
+    # runs up to 2**40 s, and t0 on a cycle's start or its on-period's end,
+    # or one float below either
+    for _ in range(20000):
+        sim_time = rng.choice((5.0, 2.0 ** 40, rng.uniform(1.0, 2.0 ** 40)))
+        on_s = math.ulp(sim_time)
+        jammer = Jammer(1, on_s, rng.choice((5e-324, on_s, rng.uniform(on_s, 8 * on_s),
+                                             0.01)))
+        k = math.floor(rng.uniform(0.0, sim_time) / jammer.period)
+        edge = rng.choice((k * jammer.period, k * jammer.period + on_s))
+        t0 = rng.choice((edge, math.nextafter(edge, -math.inf)))
+        t1 = rng.choice((math.nextafter(t0, math.inf), t0 + on_s, (k + 1) * jammer.period,
+                         t0 + rng.uniform(0.0, 3.0 * jammer.period)))
+        assert jammer.overlaps(t0, t1) is looped_overlap(jammer, t0, t1), (
+            jammer.on_s, jammer.period, t0, t1)
 
 
-def test_jammer_period_below_the_float_spacing():
-    # (k + 1) * period rounds back to k * period at t0 = 3.5, so a walk over
-    # the cycles would never reach t1
-    jammer = Jammer(1, 1e-100, 1e-100)
-    assert jammer.overlaps(3.5, 3.508)
+def test_run_with_a_jammer_period_below_the_float_spacing_ends(tmp_path, capsys):
+    # a schedule the float clock cannot resolve is one config error line,
+    # exit 1, and no run: the trace file is never opened
+    path, trace = tmp_path / "jammer.cfg", tmp_path / "trace.txt"
 
-
-def test_jammer_quotient_overflow_matches_exact_arithmetic():
-    # periods so far below t that t / period overflows to inf: each answer
-    # equals the one exact rational arithmetic gives, rounded once
-    rng = random.Random(5)
-    active = 0
-    for _ in range(400):
-        jammer = Jammer(1, rng.choice((5e-324, 1e-320, rng.uniform(5e-324, 2e-309))),
-                        rng.choice((5e-324, 1e-320, rng.uniform(5e-324, 2e-309))))
-        period, on_s = Fraction(jammer.period), Fraction(jammer.on_s)
-        t0 = rng.choice((rng.uniform(1.0, 60.0), float(rng.randrange(1, 60))))
-        assert t0 / jammer.period == math.inf
-        k = math.floor(Fraction(t0) / period)
-        assert jammer.active(t0) is (Fraction(t0) - k * period < on_s)
-        if jammer.active(t0):
-            active += 1
-            assert jammer.busy_end(t0) == float(k * period + on_s)
-        # the first on-period that ends after t0 must start before t1
-        start = k * period if k * period + on_s > t0 else (k + 1) * period
-        for t1 in (math.nextafter(t0, math.inf), t0 + rng.uniform(0.0, 0.05),
-                   t0 + 1.0):
-            if t1 > t0:
-                assert jammer.overlaps(t0, t1) is (start < Fraction(t1)), (
-                    jammer.on_s, jammer.period, t0, t1)
-    assert 0 < active < 400
-
-
-def test_run_with_a_jammer_period_below_the_float_spacing_ends(tmp_path):
-    # in a child process with a timeout, so a hang fails instead of stalling;
-    # at 1e-320 the cycle index t / period overflows to inf
-    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
-    for seconds in ("1e-300", "1e-320"):
-        path = tmp_path / "jammer.cfg"
+    def run(seconds):
         path.write_text(f"jammer_channel = 1\njammer_on_s = {seconds}\n"
                         f"jammer_off_s = {seconds}\nsim_time_s = 5\n", encoding="utf-8")
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from meshsim.cli import main; sys.exit(main(sys.argv[1:]))",
-             "run", str(path)],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0, (seconds, done.stderr)
-        rows = done.stdout.splitlines()[1:]
-        assert len(rows) == 2 and all(",0.000000,0.000000," in r for r in rows), seconds
+        return cli.main(["run", str(path), "--trace", str(trace)])
+
+    for seconds in ("1e-300", "1e-320", "1e308"):
+        assert run(seconds) == 1, seconds
+        out, err = capsys.readouterr()
+        assert out == "" and not trace.exists(), seconds
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+    # the shortest on-period the rule accepts runs
+    assert run(repr(math.ulp(5.0))) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_scheduling_into_the_past_faults():

@@ -1,7 +1,14 @@
 """Behaviour lock: every phase of the reference matrix reproduces its
 recorded trace hash and CSV row (regenerate with tests/regen_golden.py)."""
 
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from regen_golden import CELLS, GOLDEN_PATH, golden_lines
 
@@ -18,3 +25,32 @@ def test_golden_runs_unchanged():
     assert elapsed < 30.0
     print(f"\ngolden lock: {len(got)} phases of {len(CELLS)} cells unchanged "
           f"({elapsed:.1f}s)")
+
+
+def other_interpreters():
+    """Every CPython 3.10 or later in pyenv's versions directory, except the
+    version running this test."""
+    versions = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = []
+    for path in sorted(versions.iterdir()) if versions.is_dir() else ():
+        m = re.fullmatch(r"3\.(\d+)\.(\d+)", path.name)
+        if m and int(m[1]) >= 10 and (3, int(m[1]), int(m[2])) != sys.version_info[:3] \
+                and (path / "bin" / "python3").exists():
+            found.append(path / "bin" / "python3")
+    return found
+
+
+def test_golden_runs_unchanged_under_other_interpreters(full_mode):
+    # determinism holds across interpreters, not only across runs of one
+    if not full_mode:
+        pytest.skip("runs with --full")
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython 3.10+ in pyenv's versions directory")
+    script = Path(__file__).resolve().parent / "regen_golden.py"
+    for python in pythons:
+        done = subprocess.run([str(python), str(script), "--check"],
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0 and "changed cells: none" in done.stdout, (
+            str(python), done.stdout, done.stderr)
+        print(f"\ngolden lock under {python}: unchanged")

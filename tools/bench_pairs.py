@@ -19,6 +19,13 @@ verdict: the change must win at least nine of every ten pairs run, and the
 medians must differ, in the metric's better direction, by more than the
 distance between the parent's quartiles.
 
+Each side of a pair also records `wall_s`, the median of the plain wall
+times of its timed rounds (`round_wall_s` in that copy's
+benchmark/out/<W>/timed.json), and each workload the spread of both sides'
+`wall_s` and of the pair differences, with no verdict.  One round of a
+parent against itself then shows whether the reference clock's seconds
+vary less between pairs than plain wall seconds do.
+
 Every pair run counts.  When BENCH_<n>.json already holds rounds of the
 same parent and the same src/ of the change, a new round adds its pairs and
 every figure and the verdict are recomputed over all of them; a file of
@@ -98,8 +105,15 @@ def run_side(checkout: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     side = {name: m["value"] for name, m in result["metrics"].items()}
     side.update(correct=result["correct"], attempted=result["attempted"],
-                failed=result["failed"])
+                failed=result["failed"], wall_s=wall_median(checkout, workload))
     return side
+
+
+def wall_median(checkout: Path, workload: str) -> float:
+    """The median plain wall time of the timed rounds the last run of
+    workload in checkout wrote beside its CSV."""
+    timed = checkout / "benchmark" / "out" / workload / "timed.json"
+    return statistics.median(json.loads(timed.read_text(encoding="utf-8"))["round_wall_s"])
 
 
 def spread(values) -> dict:
@@ -126,6 +140,18 @@ def compare(pairs, name: str, better: str, bound: float) -> dict:
         bound=bound,
         within_bound=sign * (new - base) <= bound * abs(base))
     return stats
+
+
+def wall_spread(pairs):
+    """Both sides' spread of wall_s, and of the change's wall_s less the
+    parent's, over the pairs that record it; None when none does."""
+    walls = [(p["parent"]["wall_s"], p["change"]["wall_s"]) for p in pairs
+             if "wall_s" in p["parent"] and "wall_s" in p["change"]]
+    if not walls:
+        return None
+    parent, change = zip(*walls)
+    return {"parent": spread(parent), "change": spread(change),
+            "difference": spread([b - a for a, b in walls])}
 
 
 def claim_verdict(stats: dict, unit: str) -> dict:
@@ -201,7 +227,8 @@ def main(argv=None) -> int:
                     pair[side] = run_side(sides[side], workload, i)
                 pairs.append(pair)
                 print(f"{workload} pair {pair['pair']}: " + ", ".join(
-                    f"{side} run_s {pair[side]['run_s']:.3f}" for side in order),
+                    f"{side} run_s {pair[side]['run_s']:.3f} wall_s {pair[side]['wall_s']:.3f}"
+                    for side in order),
                     file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tmp)
@@ -210,6 +237,7 @@ def main(argv=None) -> int:
         for name, m in metrics.items():
             results[workload][name] = compare(results[workload]["pairs"], name,
                                               m["better"], m["bound"])
+        results[workload]["wall_s"] = wall_spread(results[workload]["pairs"])
     rounds = len(results[workloads[0]]["pairs"]) // PAIRS
     report = report or {}
     report.pop("claim", None)           # a verdict holds only over every pair
@@ -228,7 +256,9 @@ def main(argv=None) -> int:
                     "at seed i; even pairs ran the parent first, odd pairs the change "
                     "first; each side from its own fresh copy of the files",
         "seeds": list(range(PAIRS)),
-        "units": {name: METRIC_UNITS.get(m["unit"], m["unit"]) for name, m in metrics.items()},
+        "units": {**{name: METRIC_UNITS.get(m["unit"], m["unit"])
+                     for name, m in metrics.items()},
+                  "wall_s": "wall s (median per run; no verdict)"},
     })
     if args.claim_metric is not None:
         unit = metrics[args.claim_metric]["unit"].lower()
