@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
+from .mac import LONGEST_FIXED_BYTES
+
 VALID_RTS_MODES = ("symmetric", "literal")
 VALID_TRAFFIC_CLASSES = ("qos", "delay_tolerant")
 VALID_PROTOCOLS = ("aodv_hop", "corciar", "both")
@@ -203,7 +205,7 @@ class ScenarioConfig:
         "count is an exact float")
     data_rate_bps: float = _key(
         1_000_000.0, _number(" (bits/second)", lambda v: v <= 0, "positive"),
-        "radio bit rate in bits/second")
+        "radio bit rate in bits/second; the longest frame's airtime must be finite")
     delta: float = _key(
         0.125, _number(reject=lambda v: not 0.0 < v < 1.0, requirement="in (0,1)"),
         "RTT estimator smoothing weight")
@@ -232,18 +234,21 @@ class ScenarioConfig:
 
     def __post_init__(self):
         """Checked on every construction: parse_config, the seed flags, sweep
-        cells and direct calls alike.  A jammer schedule must be one the
-        float clock resolves: a finite period, and an on-period no shorter
-        than the float spacing at sim_time_s, so the cycle of every instant
-        of the run is exact."""
-        if self.jammer_channel is None:
-            return
+        cells and direct calls alike.  Every airtime must be finite, and a
+        jammer schedule must be one the float clock resolves: a finite
+        period, and an on-period no shorter than the float spacing at
+        sim_time_s, so the cycle of every instant of the run is exact."""
         errors = []
-        if not math.isfinite(self.jammer_on_s + self.jammer_off_s):
+        bits = max(self.packet_size_bytes, LONGEST_FIXED_BYTES) * 8
+        if not (self.data_rate_bps > 0 and math.isfinite(bits / self.data_rate_bps)):
+            errors.append(f"data_rate_bps must give the longest frame, {bits} bits, "
+                          f"a finite airtime, got {self.data_rate_bps!r}")
+        jammer = self.jammer_channel is not None
+        if jammer and not math.isfinite(self.jammer_on_s + self.jammer_off_s):
             errors.append(f"jammer_on_s + jammer_off_s must be a finite number, "
                           f"got {self.jammer_on_s!r} + {self.jammer_off_s!r}")
         spacing = math.ulp(self.sim_time_s)
-        if self.jammer_on_s < spacing:
+        if jammer and self.jammer_on_s < spacing:
             errors.append(f"jammer_on_s must be >= {spacing!r}, the float spacing "
                           f"at sim_time_s = {self.sim_time_s!r}, got {self.jammer_on_s!r}")
         if errors:

@@ -58,6 +58,9 @@ from .mac import (
     RTS_BYTES,
     CTS_BYTES,
     MAC_ACK_BYTES,
+    HELLO_BYTES,
+    TRANSPORT_ACK_BYTES,
+    LONGEST_FIXED_BYTES,
     RtsDecision,
     SimulationFault,
     rts_handler,
@@ -84,8 +87,6 @@ from .topology import Topology, build_topology, resolve_flows
 
 CONTROL_HOP_LATENCY_S = 0.001
 FLOW_START_S = 3.0
-HELLO_BYTES = 32
-TRANSPORT_ACK_BYTES = 40
 TRANSPORT_RETRY_LIMIT = 7
 RTO_INITIAL_S = 1.0
 RTO_MIN_S = 0.1
@@ -220,9 +221,8 @@ class Sim:
         # no pending reception started longer ago than the longest frame's
         # airtime; a slot of slack keeps that bound clear of float rounding
         # in start + airtime
-        self.medium = Medium(self.topo, config, self._air(max(
-            config.packet_size_bytes, RTS_BYTES, CTS_BYTES, MAC_ACK_BYTES,
-            HELLO_BYTES, TRANSPORT_ACK_BYTES)) + SLOT_TIME)
+        self.medium = Medium(self.topo, config, self._air(
+            max(config.packet_size_bytes, LONGEST_FIXED_BYTES)) + SLOT_TIME)
         self._register = self.medium.register
 
         # a flow's id is its index here
@@ -648,9 +648,10 @@ class Sim:
         node = self.nodes[node_id]
         choice = min((ch for ch in ALL_CHANNELS if ch not in node.claimed),
                      default=ALL_CHANNELS[0])
-        node.claimed.discard(choice)
-        for other_id in self.topo.interference_candidates[node_id]:
+        # claimed at every node that hears this one, but not at this one
+        for other_id in self.topo.hears[node_id]:
             self.nodes[other_id].claimed.add(choice)
+        node.claimed.discard(choice)
         # the last radio follows the claimed channel once it has drained;
         # the first radio stays on its planned channel so the baseline
         # connectivity never fully disappears

@@ -33,6 +33,11 @@ RETRY_LIMIT = 7
 RTS_BYTES = 20
 CTS_BYTES = 14
 MAC_ACK_BYTES = 14
+HELLO_BYTES = 32
+TRANSPORT_ACK_BYTES = 40
+# a run's longest frame is its data frame or the longest of these
+LONGEST_FIXED_BYTES = max(RTS_BYTES, CTS_BYTES, MAC_ACK_BYTES, HELLO_BYTES,
+                          TRANSPORT_ACK_BYTES)
 
 
 class SimulationFault(RuntimeError):

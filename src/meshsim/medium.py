@@ -10,7 +10,9 @@ one list ordered by end time, beside a list of those end times.  A query
 bisects the end times and visits only the frames that end after the instant
 it asks about (now for carrier sense, the reception's start for corruption),
 testing each one's channel against the receiver's conflicting set and its
-sender against the receiver's precomputed hearing set.  Registering a frame
+sender against the receiver's hearing set, read as it is from the
+topology's one table (`Topology.hears`): it holds the receiver itself, whose
+frame on one radio disturbs a reception on its others.  Registering a frame
 drops from the head of the list the transmissions that ended more than the
 largest frame's airtime ago: those can no longer overlap any reception still
 pending, so no interferer is lost to a time-horizon shortcut.  The jammer's
@@ -90,10 +92,7 @@ class Medium:
         # their end times, so a query can bisect to the frames still on air
         self.on_air: List[Transmission] = []
         self.on_air_ends: List[float] = []
-        # every sender whose transmissions reach node u, u itself included
-        self.hears: Dict[int, FrozenSet[int]] = {
-            u: frozenset((u, *others))
-            for u, others in topology.interference_candidates.items()}
+        self.hears: Dict[int, FrozenSet[int]] = topology.hears
         self.horizon = horizon
         self.jammer = None
         self.jammed: FrozenSet[int] = frozenset()   # nodes within the jammer's reach

@@ -2,18 +2,19 @@
 the two neighbour tables derived from them.
 
 The engine reads only a Topology's neighbour tables; distances are computed
-on demand.  Each table maps a node id to other node ids:
+on demand.  Each table maps a node id to a set of node ids:
 
-- `comm_adjacency`, the communication graph: the nodes within TX_RANGE_M
-  that share a channel with it (a set);
-- `interference_candidates`: the nodes within INTERFERENCE_RANGE_M, whose
-  transmissions can matter there (a list sorted by id).
+- `comm_adjacency`, the communication graph: the others within TX_RANGE_M
+  that share a channel with it;
+- `hears`, the one table of who hears whom, read as it is by the medium and
+  the pcl beacons: every sender within INTERFERENCE_RANGE_M and the node
+  itself, whose frame on one radio disturbs a reception on its others.
 
 The constructor builds each table by one pass over the nodes in x order.
 `build_random` accepts or rejects each uniform placement on its
 communication graph alone, so a rejected placement costs its draws and that
 graph, with no Node objects; the kept placement's Topology is handed that
-graph and builds only its interference lists.
+graph and builds only its hearing sets.
 
 Named channel plans are per-link cycles for chains and per-node cycles for
 random layouts; with two radios and a three-channel cycle every node pair
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .channel import ALL_CHANNELS
 from .config import NAMED_CHANNEL_PLANS, ScenarioConfig
@@ -76,7 +77,7 @@ class Topology:
             comm_adjacency = _comm_adjacency(
                 by_x, {n.node_id: set(n.channels) for n in self.nodes})
         self.comm_adjacency = comm_adjacency
-        self.interference_candidates = _interference_lists(by_x, self.by_id)
+        self.hears = _hearing_sets(by_x, self.by_id)
 
     def distance(self, u: int, v: int) -> float:
         a, b = self.by_id[u], self.by_id[v]
@@ -103,26 +104,23 @@ def _comm_adjacency(by_x: List[Tuple[float, float, int]],
     return adjacency
 
 
-def _interference_lists(by_x: List[Tuple[float, float, int]],
-                        ids: Iterable[int]) -> Dict[int, List[int]]:
-    """Everyone within INTERFERENCE_RANGE_M of each node (whose transmissions
-    can matter there), sorted by id; by_x as for _comm_adjacency, and ids
-    gives the keys in id order."""
-    lists: Dict[int, List[int]] = {u: [] for u in ids}
+def _hearing_sets(by_x: List[Tuple[float, float, int]],
+                  ids: Iterable[int]) -> Dict[int, FrozenSet[int]]:
+    """Every sender whose frames reach each node: itself and everyone within
+    INTERFERENCE_RANGE_M; by_x as for _comm_adjacency, and ids gives the
+    keys in id order."""
+    near: Dict[int, Set[int]] = {u: {u} for u in ids}
     reach = INTERFERENCE_RANGE_M
     for k, (ax, ay, u) in enumerate(by_x):
-        near = lists[u]
         for bx, by, v in by_x[k + 1:]:
             dx = bx - ax
             if dx > reach:      # as in _comm_adjacency
                 break
             dy = by - ay
             if -reach <= dy <= reach and math.hypot(dx, dy) <= reach:
-                near.append(v)
-                lists[v].append(u)
-    for others in lists.values():
-        others.sort()
-    return lists
+                near[u].add(v)
+                near[v].add(u)
+    return {u: frozenset(senders) for u, senders in near.items()}
 
 
 def _connected(adjacency: Dict[int, Set[int]]) -> bool:

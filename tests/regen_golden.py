@@ -7,7 +7,9 @@ reference matrix, run through the command line.
 tests/test_golden.py reruns the matrix and compares it with the file line by
 line.  A change that alters any simulated output shows up as a changed line;
 regenerate only when such a change is intended, and name each changed cell
-(the script prints the cells whose lines differ from the stored file).
+(the script prints the cells whose lines differ from the stored file, each
+with the parts that moved: `trace`, `csv`, `routes`, or `added`/`removed`
+for a cell only one side has).
 
 Each cell has one line per phase, `<cell> trace=<sha256 of the phase's trace
 lines> <csv row>` with `-` for a phase that emits no row, then one line
@@ -114,6 +116,36 @@ def lines_by_cell(lines):
     return cells
 
 
+def cell_parts(lines):
+    """One cell's golden lines split into its parts: the phases' trace
+    hashes, their CSV rows and the routes hash."""
+    parts = {"trace": [], "csv": [], "routes": []}
+    for line in lines:
+        kind, _, rest = line.split(" ", 1)[1].partition("=")
+        value, _, row = rest.partition(" ")
+        parts[kind].append(value)
+        if kind == "trace":
+            parts["csv"].append(row)
+    return parts
+
+
+def changed_cells(before, after):
+    """The summary line of two {cell: lines} maps, e.g.
+    `changed cells: chain4-pcl (trace, csv)`."""
+    changed = []
+    for name in [*after, *(n for n in before if n not in after)]:
+        old, new = before.get(name), after.get(name)
+        if old == new:
+            continue
+        if old is None or new is None:
+            what = ["added" if old is None else "removed"]
+        else:
+            old, new = cell_parts(old), cell_parts(new)
+            what = [part for part in old if old[part] != new[part]]
+        changed.append(f"{name} ({', '.join(what)})")
+    return "changed cells: " + (", ".join(changed) if changed else "none")
+
+
 def main() -> int:
     check = "--check" in sys.argv[1:]
     before = lines_by_cell(GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
@@ -123,10 +155,8 @@ def main() -> int:
     if not check:
         GOLDEN_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {GOLDEN_PATH}")
-    changed = [name for name in [*after, *(n for n in before if n not in after)]
-               if before.get(name) != after.get(name)]
-    print("changed cells: " + (", ".join(changed) if changed else "none"))
-    return 1 if check and changed else 0
+    print(changed_cells(before, after))
+    return 1 if check and before != after else 0
 
 
 if __name__ == "__main__":

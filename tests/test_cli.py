@@ -194,6 +194,24 @@ def test_run_rejects_missing_file(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_rejects_a_data_rate_whose_airtimes_overflow(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+
+    def run(rate):
+        path = write_cfg(tmp_path, f"topology = chain(3)\nsim_time_s = 5\n"
+                                   f"data_rate_bps = {rate}\n")
+        return cli.main(["run", path, "--out", str(out)])
+
+    # one config error line, exit 1, and no run: no row is written
+    assert run("5e-324") == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+    assert not out.exists()
+    # a rate whose airtimes are finite, however long, runs
+    assert run("1e-300") == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_run_rejects_unbuildable_topology(tmp_path, capsys):
     path = write_cfg(tmp_path, "topology = chain(1)\n")
     assert cli.main(["run", path]) == 1

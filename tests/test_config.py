@@ -119,6 +119,28 @@ def test_jammer_schedule_the_float_clock_cannot_resolve_is_rejected(seconds, mes
     assert shortest.jammer_on_s == math.ulp(5.0)
 
 
+def test_data_rate_whose_airtimes_overflow_is_rejected():
+    # 8000 bits (the 1000-byte data frame) at 5e-324 bit/s take inf seconds
+    message = ("data_rate_bps must give the longest frame, 8000 bits, a finite "
+               "airtime, got 5e-324")
+    with pytest.raises(ConfigError) as exc:
+        parse_config("data_rate_bps = 5e-324")
+    assert exc.value.errors == [message]
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(ScenarioConfig(), data_rate_bps=5e-324)
+    assert exc.value.errors == [message]
+    # a rate the parser refuses is refused on direct construction too
+    with pytest.raises(ConfigError, match="a finite airtime, got 0.0"):
+        dataclasses.replace(ScenarioConfig(), data_rate_bps=0.0)
+    # the 40-byte transport ACK is the longest frame under smaller data
+    with pytest.raises(ConfigError, match="the longest frame, 320 bits,"):
+        parse_config("packet_size_bytes = 20\ndata_rate_bps = 5e-324")
+    # at 1e-300 every airtime is finite, however long
+    assert parse_config("data_rate_bps = 1e-300").data_rate_bps == 1e-300
+    assert dataclasses.replace(ScenarioConfig(), data_rate_bps=1e-300).data_rate_bps \
+        == 1e-300
+
+
 def test_numeric_guards():
     for text in ("sim_time_s = -1", "packet_size_bytes = 0", "data_rate_bps = 0",
                  "delta = 1", "window = 0", "seed = -3", "radios_per_node = 0",

@@ -462,8 +462,8 @@ def test_pcl_beacon_claims_lowest_unclaimed_channel():
     assert claimed() == [set()] * 5
     assert [r.channel for r in nodes[0].radios] == [1, 6]
 
-    # nothing claimed yet: node 0 claims channel 1 at every node within
-    # interference range (node 4, 600 m away, lies beyond it), its idle
+    # nothing claimed yet: node 0 claims channel 1 at every node it hears
+    # except itself (node 4, 600 m away, lies beyond its reach), its idle
     # last radio retunes to it, and its next beacon is due in 5 s
     sim._beacon_tick(0)
     assert claimed() == [set(), {1}, {1}, {1}, set()]
@@ -494,6 +494,13 @@ def test_random_topology_three_flows():
     res = Sim(cfg, RouteMetric.HOP_COUNT, "x").run()
     assert len(res.flow_stats) == 3
     assert sum(s.packets_received_at_gateway for s in res.flow_stats) > 0
+
+
+def test_medium_reads_the_topology_hearing_sets():
+    # one table of who hears whom: the medium holds the topology's, uncopied
+    sim = Sim(chain_cfg(5), RouteMetric.HOP_COUNT, "x")
+    assert sim.medium.hears is sim.topo.hears
+    assert sim.topo.hears[0] == {0, 1, 2, 3}
 
 
 def test_long_frame_keeps_an_early_interferer():

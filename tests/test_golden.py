@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from regen_golden import CELLS, GOLDEN_PATH, golden_lines
+from regen_golden import CELLS, GOLDEN_PATH, changed_cells, golden_lines, lines_by_cell
 
 
 def test_golden_runs_unchanged():
@@ -25,6 +25,23 @@ def test_golden_runs_unchanged():
     assert elapsed < 30.0
     print(f"\ngolden lock: {len(got)} phases of {len(CELLS)} cells unchanged "
           f"({elapsed:.1f}s)")
+
+
+def test_changed_cells_summary_names_what_moved():
+    before = lines_by_cell([
+        "a trace=1 s,1,aodv_hop,4", "a trace=2 s,1,corciar,4", "a routes=9",
+        "b trace=1 s,2,aodv_hop,4", "b routes=9",
+        "c trace=1 -", "c trace=2 s,3,corciar,4", "c routes=9",
+        "gone trace=1 -", "gone routes=9"])
+    assert changed_cells(before, before) == "changed cells: none"
+    after = lines_by_cell([
+        "a trace=1 s,1,aodv_hop,4", "a trace=3 s,1,corciar,5", "a routes=8",
+        "b trace=7 s,2,aodv_hop,4", "b routes=9",
+        "c trace=1 -", "c trace=2 s,3,corciar,4", "c routes=8",
+        "new trace=1 -", "new routes=9"])
+    assert changed_cells(before, after) == (
+        "changed cells: a (trace, csv, routes), b (trace), c (routes), "
+        "new (added), gone (removed)")
 
 
 def other_interpreters():

@@ -38,8 +38,8 @@ def test_chain_range_geometry():
     # 450 m apart: beyond talk range, inside interference range
     assert topo.distance(0, 3) == pytest.approx(450.0)
     assert 3 not in topo.comm_adjacency[0]
-    assert 3 in topo.interference_candidates[0]
-    assert 4 not in topo.interference_candidates[0]   # 600 m is out of earshot
+    assert 3 in topo.hears[0]
+    assert 4 not in topo.hears[0]   # 600 m is out of earshot
     for i in range(5):
         assert topo.comm_adjacency[i] >= {i + 1} - {i}
         assert i + 1 in topo.comm_adjacency[i]
@@ -182,9 +182,10 @@ def test_flow_resolution():
 
 
 def brute_force_tables(nodes):
-    """Both neighbour tables from a scan of every ordered pair."""
+    """Both neighbour tables from a scan of every ordered pair: the
+    communication graph, and each node with every sender within 550 m."""
     comm = {a.node_id: set() for a in nodes}
-    candidates = {a.node_id: [] for a in nodes}
+    hears = {a.node_id: {a.node_id} for a in nodes}
     for a in nodes:
         for b in nodes:
             if a is b:
@@ -193,14 +194,14 @@ def brute_force_tables(nodes):
             if d <= TX_RANGE_M and set(a.channels) & set(b.channels):
                 comm[a.node_id].add(b.node_id)
             if d <= INTERFERENCE_RANGE_M:
-                candidates[a.node_id].append(b.node_id)
-    return comm, {u: sorted(vs) for u, vs in candidates.items()}
+                hears[a.node_id].add(b.node_id)
+    return comm, hears
 
 
 def assert_tables_match_brute_force(topo):
-    comm, candidates = brute_force_tables(topo.nodes)
+    comm, hears = brute_force_tables(topo.nodes)
     assert topo.comm_adjacency == comm
-    assert topo.interference_candidates == candidates
+    assert topo.hears == hears
 
 
 @pytest.mark.parametrize("n", [20, 40, 100])
@@ -236,37 +237,37 @@ def test_neighbour_tables_at_the_range_boundaries():
     ]
     topo = Topology(nodes, gateway=0)
     assert_tables_match_brute_force(topo)
-    comm, candidates = topo.comm_adjacency, topo.interference_candidates
-    assert 1 in comm[0] and 2 not in comm[0] and 2 in candidates[0]
-    assert 3 in candidates[0] and 4 in candidates[0] and 3 not in comm[0]
-    assert 5 not in candidates[0] and 6 not in candidates[0]
-    assert 8 in candidates[7] and 10 not in candidates[9] and 12 not in candidates[11]
+    comm, hears = topo.comm_adjacency, topo.hears
+    assert 1 in comm[0] and 2 not in comm[0] and 2 in hears[0]
+    assert 3 in hears[0] and 4 in hears[0] and 3 not in comm[0]
+    assert 5 not in hears[0] and 6 not in hears[0]
+    assert 8 in hears[7] and 10 not in hears[9] and 12 not in hears[11]
 
 
 class BuildSpy:
     """Counts the placements judged (communication-graph passes), the
-    interference-list passes and the Node objects made while building."""
+    hearing-set passes and the Node objects made while building."""
 
     def __init__(self, monkeypatch):
-        self.comm_passes = self.interference_passes = self.nodes_made = 0
+        self.comm_passes = self.hearing_passes = self.nodes_made = 0
         real_comm = topology._comm_adjacency
-        real_lists = topology._interference_lists
+        real_hears = topology._hearing_sets
         real_node = topology.Node
 
         def comm(*args):
             self.comm_passes += 1
             return real_comm(*args)
 
-        def lists(*args):
-            self.interference_passes += 1
-            return real_lists(*args)
+        def hears(*args):
+            self.hearing_passes += 1
+            return real_hears(*args)
 
         def node(*args, **kwargs):
             self.nodes_made += 1
             return real_node(*args, **kwargs)
 
         monkeypatch.setattr(topology, "_comm_adjacency", comm)
-        monkeypatch.setattr(topology, "_interference_lists", lists)
+        monkeypatch.setattr(topology, "_hearing_sets", hears)
         monkeypatch.setattr(topology, "Node", node)
 
 
@@ -279,11 +280,11 @@ def test_rejected_placements_build_no_interference_lists(monkeypatch, n, seed, p
     spy = BuildSpy(monkeypatch)
     topo = build_random(n, seed, 2, "orthogonal")
     # every placement was judged on its communication graph; only the kept
-    # one has nodes and interference lists, and its graph is handed over,
-    # not built again
+    # one has nodes and hearing sets, and its graph is handed over, not
+    # built again
     assert spy.comm_passes == placements
     assert spy.nodes_made == n
-    assert spy.interference_passes == 1
+    assert spy.hearing_passes == 1
     assert_tables_match_brute_force(topo)
 
 
@@ -304,9 +305,10 @@ def test_placement_coordinates_are_pinned(n, seed, digest):
     assert placement_sha256(build_random(n, seed, 2, "orthogonal")) == digest
 
 
-def assert_lists_id_sorted(topo):
-    for others in topo.interference_candidates.values():
-        assert others == sorted(others)
+def assert_sets_hold_their_node(topo):
+    # a node's own frame on one radio disturbs a reception on its others
+    for u, senders in topo.hears.items():
+        assert isinstance(senders, frozenset) and u in senders
 
 
 @pytest.mark.parametrize("nodes", [
@@ -324,7 +326,7 @@ def assert_lists_id_sorted(topo):
 def test_x_ordered_sweep_edge_cases(nodes):
     topo = Topology(nodes, gateway=0)
     assert_tables_match_brute_force(topo)
-    assert_lists_id_sorted(topo)
+    assert_sets_hold_their_node(topo)
 
 
 def test_mesh8_input_out_of_id_order():
@@ -332,7 +334,7 @@ def test_mesh8_input_out_of_id_order():
     topo = build_mesh8()
     assert [n.node_id for n in topo.nodes] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert_tables_match_brute_force(topo)
-    assert_lists_id_sorted(topo)
+    assert_sets_hold_their_node(topo)
     again = Topology(list(reversed(topo.nodes)), gateway=4)
     assert again.comm_adjacency == topo.comm_adjacency
-    assert again.interference_candidates == topo.interference_candidates
+    assert again.hears == topo.hears
