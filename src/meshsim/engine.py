@@ -8,6 +8,18 @@ dispatch in (time, insertion ordinal) order, and all container iteration is
 in sorted key order, so identical (config, seed) reproduces the run
 byte for byte.
 
+Handshake timeouts arm only on failure.  Sending an RTS (in `_try_access`)
+or, on a clean CTS, the DATA (in `_cts_arrival`) reserves the heap key of
+the CTS or ACK timeout, its deadline and the next ordinal, on the
+`Exchange`, and pushes nothing.  `_arm_timeout` pushes the timeout under
+that key only when the wait fails: the RTS has no peer radio on its channel,
+`_rts_arrival` refuses it (receiver busy or engaged, or the admission rule
+defers), or an RTS, CTS, DATA or ACK frame arrives corrupted (`_receive`
+arms the exchange's owner).  A clean DATA frame is always acknowledged, and
+a clean CTS or ACK always arrives before the deadline, so a wait that does
+not fail ends before its timeout could fire, and every other event keeps the
+key and the dispatch order it would have had were every timeout pushed.
+
 Control frames (route request/reply floods) travel out of band at a fixed
 per-hop latency; only data, acknowledgements, and hello probes contend for
 the simulated spectrum.  This keeps hop-count discovery exactly equal to
@@ -114,12 +126,16 @@ def trace_tag(label: str, node: int) -> bytes:
 
 class Exchange:
     """One RTS/CTS/DATA/ACK handshake in progress; the object itself is the
-    identity a timeout checks against."""
+    identity a timeout checks against.  (deadline, ordinal) is the heap key
+    of the timeout of its current wait, reserved when the frame that starts
+    the wait is sent; `Sim._arm_timeout` pushes it only if the wait fails."""
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "deadline", "ordinal")
 
-    def __init__(self, state: str):
+    def __init__(self, state: str, deadline: float, ordinal: int):
         self.state = state          # "wait_cts" | "wait_ack"
+        self.deadline = deadline
+        self.ordinal = ordinal
 
 
 class NodeState:
@@ -245,10 +261,23 @@ class Sim:
 
     def schedule(self, t: float, label: str, node: int, fn, *args):
         """Run fn(*args) at time t, traced as `label` at `node`.  Every event
-        enters the heap here, carrying its trace tag."""
+        enters the heap here, carrying its trace tag, except a handshake
+        timeout, which `_arm_timeout` pushes under its reserved key."""
         if t < self.now:
             raise SimulationFault(f"scheduling into the past: {t} < {self.now}")
         heappush(self._heap, (t, next(self._ordinals), trace_tag(label, node), fn, args))
+
+    def _arm_timeout(self, radio: MacRadioState):
+        """Push the timeout of radio's handshake, whose current wait has just
+        failed, under the key reserved when the wait began: it dispatches
+        exactly where an event scheduled at that moment would have."""
+        ex = radio.exchange
+        if ex.deadline <= self.now:
+            raise SimulationFault(f"arming a timeout at or before now: "
+                                  f"{ex.deadline} <= {self.now}")
+        heappush(self._heap, (ex.deadline, ex.ordinal,
+                              trace_tag("TimerFire", radio.node_id),
+                              self._exchange_timeout, (radio, ex, ex.state)))
 
     def _air(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.rate
@@ -275,20 +304,24 @@ class Sim:
         return self.medium.corrupted(node_id, channel, subject)
 
     def _transmit(self, sender: MacRadioState, receiver: Optional[MacRadioState],
-                  start: float, airtime: float, on_arrival, *args) -> float:
-        """Put one frame on the air from start for airtime seconds; unless
-        receiver is None, it reaches on_arrival(receiver, *args) there if it
-        arrives clean.  Returns the end of its airtime."""
+                  owner: MacRadioState, start: float, airtime: float,
+                  on_arrival, *args) -> float:
+        """Put one frame of owner's handshake on the air from start for
+        airtime seconds; unless receiver is None, it reaches
+        on_arrival(receiver, *args) there if it arrives clean, and arms
+        owner's timeout if not.  Returns the end of its airtime."""
         tx = self._register(sender.node_id, sender.channel, start,
                             start + airtime, self.now)
         if receiver is not None:
             self.schedule(tx.t_end, "FrameArrival", receiver.node_id,
-                          self._receive, receiver, tx, on_arrival, args)
+                          self._receive, receiver, tx, owner, on_arrival, args)
         return tx.t_end
 
-    def _receive(self, radio: MacRadioState, tx: Transmission, on_arrival, args):
+    def _receive(self, radio: MacRadioState, tx: Transmission,
+                 owner: MacRadioState, on_arrival, args):
         if self.corrupted(radio.node_id, radio.channel, tx):
             self.corrupted_receptions += 1
+            self._arm_timeout(owner)
             return
         on_arrival(radio, *args)
 
@@ -338,15 +371,17 @@ class Sim:
             return
         frame = radio.queue[0]
         peer = self._radio_on_channel(frame.dst, radio.channel)
-        ex = radio.exchange = Exchange("wait_cts")
-        rts_end = self._transmit(radio, peer, self.now, self.rts_air,
+        rts_end = self._transmit(radio, peer, radio, self.now, self.rts_air,
                                  self._rts_arrival, radio, frame)
-        deadline = rts_end + SIFS + self.cts_air + TIMEOUT_SLACK_S
-        self.schedule(deadline, "TimerFire", radio.node_id,
-                      self._exchange_timeout, radio, ex, "wait_cts")
+        radio.exchange = Exchange("wait_cts",
+                                  rts_end + SIFS + self.cts_air + TIMEOUT_SLACK_S,
+                                  next(self._ordinals))
+        if peer is None:
+            self._arm_timeout(radio)
 
     def _rts_arrival(self, rx_radio: MacRadioState, tx_radio: MacRadioState, frame: Frame):
         if rx_radio.exchange is not None or self.now < rx_radio.rx_engaged_until:
+            self._arm_timeout(tx_radio)
             return
         # a plain loop: a comprehension costs a frame of its own before 3.12
         active = []
@@ -356,30 +391,32 @@ class Sim:
                 active.append(r.channel)
         if active and self.rts_decide(rx_radio.channel, active,
                                       mode=self.rts_mode) is RtsDecision.DEFER:
+            self._arm_timeout(tx_radio)
             return
         rx_radio.rx_engaged_until = (self.now + SIFS + self.cts_air + SIFS
                                      + self._air(frame.size_bytes) + SIFS
                                      + self.mac_ack_air + TIMEOUT_SLACK_S)
-        self._transmit(rx_radio, tx_radio, self.now + SIFS, self.cts_air,
+        self._transmit(rx_radio, tx_radio, tx_radio, self.now + SIFS, self.cts_air,
                        self._cts_arrival, rx_radio, frame)
 
     def _cts_arrival(self, tx_radio: MacRadioState, rx_radio: MacRadioState, frame: Frame):
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_cts":
-            return
+            raise SimulationFault(f"CTS at n{tx_radio.node_id}, which awaits none")
         # contention is resolved the instant the CTS lands; the data frame
         # itself leaves one guard interval later
         tx_radio.release_head_to_medium(self.now)
-        ex.state = "wait_ack"
-        data_end = self._transmit(tx_radio, rx_radio, self.now + SIFS,
+        data_end = self._transmit(tx_radio, rx_radio, tx_radio, self.now + SIFS,
                                   self._air(frame.size_bytes),
                                   self._data_arrival, tx_radio, frame)
-        deadline = data_end + SIFS + self.mac_ack_air + TIMEOUT_SLACK_S
-        self.schedule(deadline, "TimerFire", tx_radio.node_id,
-                      self._exchange_timeout, tx_radio, ex, "wait_ack")
+        ex.state = "wait_ack"
+        ex.deadline = data_end + SIFS + self.mac_ack_air + TIMEOUT_SLACK_S
+        ex.ordinal = next(self._ordinals)
 
     def _data_arrival(self, rx_radio: MacRadioState, tx_radio: MacRadioState, frame: Frame):
-        self._transmit(rx_radio, tx_radio, self.now + SIFS, self.mac_ack_air,
+        # a clean data frame is always acknowledged, so a wait for an ACK
+        # fails only by corruption
+        self._transmit(rx_radio, tx_radio, tx_radio, self.now + SIFS, self.mac_ack_air,
                        self._mac_ack_arrival)
         if rx_radio.delivered_uid_from.get(frame.src) == frame.uid:
             return                      # retransmitted copy already handed up
@@ -389,7 +426,7 @@ class Sim:
     def _mac_ack_arrival(self, tx_radio: MacRadioState):
         ex = tx_radio.exchange
         if ex is None or ex.state != "wait_ack":
-            return
+            raise SimulationFault(f"MAC ACK at n{tx_radio.node_id}, which awaits none")
         frame = tx_radio.pop_head(self.now)
         if tx_radio.backoff.retries == 0:
             # first try: measured from queue head so a sender's own backlog
@@ -413,7 +450,9 @@ class Sim:
 
     def _exchange_timeout(self, radio: MacRadioState, ex: Exchange, phase: str):
         if radio.exchange is not ex or ex.state != phase:
-            return
+            # armed only on failure, and nothing but the timeout ends a failed wait
+            raise SimulationFault(f"timeout at n{radio.node_id} for a handshake "
+                                  f"that moved on")
         radio.exchange = None
         slots = radio.backoff.next(BackoffOutcome.BUSY, self.rng)
         if radio.backoff.retries > RETRY_LIMIT:

@@ -3,6 +3,7 @@ conservation, and the two-phase rerouting experiment."""
 
 import gc
 import hashlib
+import heapq
 import io
 import math
 import random
@@ -12,17 +13,18 @@ import weakref
 
 import pytest
 
-from meshsim import cli, engine
+from meshsim import cli, engine, experiment
 from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec, parse_config
-from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, TRACE_LINE, Sim
+from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, TRACE_LINE, Exchange, Sim
 from meshsim.experiment import corciar_run, execute
-from meshsim.mac import (CW_MAX, CW_MIN, DIFS, SLOT_TIME, BackoffOutcome,
-                         BackoffState, SimulationFault)
+from meshsim.mac import (CW_MAX, CW_MIN, DIFS, HELLO_BYTES, SLOT_TIME, BackoffOutcome,
+                         BackoffState, Frame, FrameKind, SimulationFault)
 from meshsim.medium import Jammer, Medium
 from meshsim.metrics import CollisionClass
 from meshsim.routing import ROUTE_LIFETIME, RouteMetric, RouteTable
 from meshsim.topology import INTERFERENCE_RANGE_M, build_topology
+from regen_golden import CELLS
 
 
 def chain_cfg(n, **kw):
@@ -197,29 +199,230 @@ def test_scheduling_into_the_past_faults():
         sim.schedule(4.0, "TimerFire", 0, lambda: None)
 
 
-def test_every_event_enters_the_heap_through_schedule(monkeypatch):
-    # the benchmark's tracer counts Sim.schedule calls as the events pushed,
-    # and schedule is where each event gets its trace tag
-    pushes, schedules = [], []
-    heappush, schedule = engine.heappush, Sim.schedule
+def test_every_event_enters_the_heap_through_schedule_or_arm(monkeypatch):
+    # schedule is where each event gets its trace tag, and the benchmark's
+    # tracer counts its calls; the one other way in is _arm_timeout, which
+    # pushes a failed handshake's timeout under the key reserved for it
+    pushes, built = [], []
+    heappush, schedule, arm = engine.heappush, Sim.schedule, Sim._arm_timeout
 
     def counted_push(heap, entry):
         pushes.append(entry[2])
         heappush(heap, entry)
 
     def counted_schedule(sim, t, label, node, fn, *args):
-        schedules.append(engine.trace_tag(label, node))
+        built.append(engine.trace_tag(label, node))
         schedule(sim, t, label, node, fn, *args)
 
+    def counted_arm(sim, radio):
+        built.append(engine.trace_tag("TimerFire", radio.node_id))
+        armed.append(radio.node_id)
+        arm(sim, radio)
+
+    armed = []
     monkeypatch.setattr(engine, "heappush", counted_push)
     monkeypatch.setattr(Sim, "schedule", counted_schedule)
-    res = Sim(chain_cfg(4, channel_plan="pcl", sim_time_s=8.0),
+    monkeypatch.setattr(Sim, "_arm_timeout", counted_arm)
+    # pcl retunes leave some queued frames with no radio at their next hop
+    # on the channel they were queued for, so some handshakes fail
+    res = Sim(chain_cfg(4, channel_plan="pcl", sim_time_s=12.0, seed=3),
               RouteMetric.AVG_RTT, "corciar").run()
-    assert len(schedules) >= res.dispatched_events > 0
-    assert pushes == schedules
+    assert len(pushes) >= res.dispatched_events > 0
+    assert len(armed) > 0
+    assert pushes == built
     # the run reaches every dispatch label; pcl adds BeaconTick
     assert {tag.split()[0].decode() for tag in pushes} == {
         "FrameArrival", "TimerFire", "HelloTick", "BeaconTick", "FlowSendWindow", "RtoExpiry"}
+
+
+def waiting_radio(state):
+    """A chain(2) Sim at t=4 s and its node 0 radio, in a handshake in the
+    given state whose timeout is due at 4.1 s."""
+    sim = Sim(chain_cfg(2), RouteMetric.HOP_COUNT, "x")
+    sim.now = 4.0
+    radio = sim.nodes[0].radios[0]
+    radio.exchange = Exchange(state, 4.1, next(sim._ordinals))
+    return sim, radio
+
+
+def test_timeout_of_a_handshake_that_moved_on_faults():
+    sim, radio = waiting_radio("wait_cts")
+    ex = radio.exchange
+    radio.exchange = None               # ended, as a CTS then an ACK would end it
+    with pytest.raises(SimulationFault, match="moved on"):
+        sim._exchange_timeout(radio, ex, "wait_cts")
+    radio.exchange = ex
+    ex.state = "wait_ack"               # advanced, as a clean CTS would advance it
+    with pytest.raises(SimulationFault, match="moved on"):
+        sim._exchange_timeout(radio, ex, "wait_cts")
+    # the timeout of a wait that is still on backs off and releases the radio
+    sim._exchange_timeout(radio, ex, "wait_ack")
+    assert radio.exchange is None and radio.backoff.retries == 1
+
+
+def test_cts_without_a_wait_for_one_faults():
+    sim, radio = waiting_radio("wait_ack")
+    peer = sim.nodes[1].radios[0]
+    frame = Frame(kind=FrameKind.HELLO, src=0, dst=1, size_bytes=HELLO_BYTES, uid=1)
+    with pytest.raises(SimulationFault, match="CTS"):
+        sim._cts_arrival(radio, peer, frame)
+    radio.exchange = None
+    with pytest.raises(SimulationFault, match="CTS"):
+        sim._cts_arrival(radio, peer, frame)
+
+
+def test_mac_ack_without_a_wait_for_one_faults():
+    sim, radio = waiting_radio("wait_cts")
+    with pytest.raises(SimulationFault, match="MAC ACK"):
+        sim._mac_ack_arrival(radio)
+    radio.exchange = None
+    with pytest.raises(SimulationFault, match="MAC ACK"):
+        sim._mac_ack_arrival(radio)
+
+
+def test_arming_a_timeout_that_is_due_faults():
+    # a reserved key at or before now would dispatch out of order
+    sim, radio = waiting_radio("wait_cts")
+    sim.now = 4.1
+    with pytest.raises(SimulationFault, match="arming"):
+        sim._arm_timeout(radio)
+    assert not sim._heap
+
+
+class TraceLines:
+    """A trace file that keeps each written line."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, line):
+        self.lines.append(line)
+
+
+class EagerTimeoutSim(Sim):
+    """The engine as it was before timeouts armed only on failure: every
+    handshake timeout enters the heap when its wait begins, under the same
+    reserved key, and one whose handshake moved on dispatches as a no-op.
+    Records the trace line index of each such no-op."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.noop_lines = []
+
+    def _push_timeout(self, radio):
+        ex = radio.exchange
+        heapq.heappush(self._heap, (ex.deadline, ex.ordinal,
+                                    engine.trace_tag("TimerFire", radio.node_id),
+                                    self._exchange_timeout, (radio, ex, ex.state)))
+
+    def _try_access(self, radio):
+        before = radio.exchange
+        super()._try_access(radio)
+        if radio.exchange is not before:
+            self._push_timeout(radio)
+
+    def _cts_arrival(self, tx_radio, rx_radio, frame):
+        super()._cts_arrival(tx_radio, rx_radio, frame)
+        self._push_timeout(tx_radio)
+
+    def _arm_timeout(self, radio):
+        pass                            # pushed when the wait began
+
+    def _exchange_timeout(self, radio, ex, phase):
+        if radio.exchange is not ex or ex.state != phase:
+            self.noop_lines.append(len(self._trace_file.lines) - 1)
+            return
+        super()._exchange_timeout(radio, ex, phase)
+
+
+ARRIVAL_CAUSES = {"_rts_arrival": "RTS corrupted", "_cts_arrival": "CTS corrupted",
+                  "_data_arrival": "DATA corrupted", "_mac_ack_arrival": "ACK corrupted"}
+
+
+def arm_cause(sim, caller):
+    """Why the handshake whose timeout is being armed from frame `caller`
+    failed, read from that frame's locals and the Sim's state."""
+    name, local = caller.f_code.co_name, caller.f_locals
+    if name == "_try_access":
+        return "no peer radio"
+    if name == "_receive":
+        return ARRIVAL_CAUSES[local["on_arrival"].__name__]
+    assert name == "_rts_arrival", name
+    rx = local["rx_radio"]
+    busy = rx.exchange is not None or sim.now < rx.rx_engaged_until
+    return "RTS refused busy" if busy else "RTS refused by admission"
+
+
+@pytest.fixture(scope="module")
+def golden_matrix():
+    """Every golden cell run twice through execute: once as the engine
+    runs it, counting armed timeouts by cause per cell, and once under
+    EagerTimeoutSim; {cell: (rows, trace lines, sims)} for each."""
+    arms = {}
+    cell = [None]
+    arm = Sim._arm_timeout
+
+    def counted_arm(sim, radio):
+        cause = arm_cause(sim, sys._getframe(1))
+        arms.setdefault(cause, {}).setdefault(cell[0], 0)
+        arms[cause][cell[0]] += 1
+        arm(sim, radio)
+
+    def run_all(sim_class):
+        runs = {}
+        for name, text in CELLS:
+            cell[0] = name
+            sims = []
+
+            class Kept(sim_class):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    sims.append(self)
+
+            trace = TraceLines()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(experiment, "Sim", Kept)
+                rows = execute(parse_config(text), trace_file=trace)
+            runs[name] = (rows, trace.lines, sims)
+        return runs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Sim, "_arm_timeout", counted_arm)
+        lazy = run_all(Sim)
+    eager = run_all(EagerTimeoutSim)
+    return lazy, eager, arms
+
+
+def test_timeouts_armed_only_on_failure_change_nothing_but_noop_lines(golden_matrix):
+    lazy, eager, _ = golden_matrix
+    dropped = 0
+    for name, _ in CELLS:
+        rows, lines, _ = lazy[name]
+        ref_rows, ref_lines, ref_sims = eager[name]
+        noops = {i for sim in ref_sims for i in sim.noop_lines}
+        assert {ref_lines[i].split()[1] for i in noops} <= {"TimerFire"}, name
+        assert lines == [line for i, line in enumerate(ref_lines) if i not in noops], name
+        dropped += len(noops)
+        # the CSV, the route dump and every count but the events agree
+        assert [cli._result_cells(r) for r in rows] \
+            == [cli._result_cells(r) for r in ref_rows], name
+        for got, want in zip([r.result for r in rows], [r.result for r in ref_rows]):
+            assert got.route_rows == want.route_rows, name
+            assert got.counters == want.counters, name
+            assert got.corrupted_receptions == want.corrupted_receptions, name
+            assert got.link_costs == want.link_costs, name
+            assert got.flow_stats == want.flow_stats, name
+    assert dropped > 0
+
+
+def test_every_timeout_arming_point_is_reached(golden_matrix):
+    _, _, arms = golden_matrix
+    causes = ("no peer radio", "RTS refused busy", "RTS refused by admission",
+              *ARRIVAL_CAUSES.values())
+    totals = {cause: sum(arms.get(cause, {}).values()) for cause in causes}
+    assert min(totals.values()) > 0, totals
+    print("\ntimeouts armed, by cause: " + "; ".join(
+        f"{cause} {totals[cause]} in {len(arms[cause])} cells" for cause in causes))
 
 
 def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
@@ -480,7 +683,7 @@ def test_pcl_beacon_claims_lowest_unclaimed_channel():
     # every channel claimed: node 2 falls back to channel 1 and takes it
     # off its own set; a busy last radio keeps its channel
     nodes[2].claimed.update(range(1, 12))
-    nodes[2].radios[-1].exchange = engine.Exchange("wait_ack")
+    nodes[2].radios[-1].exchange = Exchange("wait_ack", 6.0, 0)
     before = nodes[2].radios[-1].channel
     sim._beacon_tick(2)
     assert claimed() == [{1, 2}, {1}, set(range(2, 12)), {1, 2}, {1, 2}]
