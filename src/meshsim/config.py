@@ -49,12 +49,9 @@ class TopologySpec:
         return f"{self.kind}({self.n})"
 
 
-class _Invalid(Exception):
-    """One rejected value; parse_config prefixes its line number."""
-
-
 # Value parsers: each takes the stripped text and the key name, returns the
-# parsed value or raises _Invalid with the exact user-facing message.
+# parsed value or raises ConfigError with the exact user-facing message, to
+# which parse_config prefixes its line number.
 
 def _integer(minimum=None, maximum=None):
     def parse(raw: str, key: str) -> int:
@@ -63,11 +60,11 @@ def _integer(minimum=None, maximum=None):
                 raise ValueError
             value = int(raw)
         except ValueError:
-            raise _Invalid(f"{key} must be an integer, got {raw!r}") from None
+            raise ConfigError([f"{key} must be an integer, got {raw!r}"]) from None
         if minimum is not None and value < minimum:
-            raise _Invalid(f"{key} must be >= {minimum}, got {value}")
+            raise ConfigError([f"{key} must be >= {minimum}, got {value}"])
         if maximum is not None and value > maximum:
-            raise _Invalid(f"{key} must be <= {maximum}, got {value}")
+            raise ConfigError([f"{key} must be <= {maximum}, got {value}"])
         return value
     return parse
 
@@ -78,11 +75,11 @@ def _number(unit: str = "", reject=None, requirement: str = ""):
         try:
             value = float(raw)
         except ValueError:
-            raise _Invalid(f"{key} must be a number{unit}, got {raw!r}") from None
+            raise ConfigError([f"{key} must be a number{unit}, got {raw!r}"]) from None
         if not math.isfinite(value):
-            raise _Invalid(f"{key} must be a finite number{unit}, got {raw!r}")
+            raise ConfigError([f"{key} must be a finite number{unit}, got {raw!r}"])
         if reject is not None and reject(value):
-            raise _Invalid(f"{key} must be {requirement}")
+            raise ConfigError([f"{key} must be {requirement}"])
         return value
     return parse
 
@@ -90,7 +87,7 @@ def _number(unit: str = "", reject=None, requirement: str = ""):
 def _one_of(choices: Tuple[str, ...]):
     def parse(raw: str, key: str) -> str:
         if raw not in choices:
-            raise _Invalid(f"{key} must be one of {choices}")
+            raise ConfigError([f"{key} must be one of {choices}"])
         return raw
     return parse
 
@@ -98,16 +95,16 @@ def _one_of(choices: Tuple[str, ...]):
 def _topology(raw: str, key: str) -> TopologySpec:
     m = _TOPOLOGY_RE.match(raw)
     if not m:
-        raise _Invalid(f"{key} must be chain(n), random(n[, seed]), "
-                       f"or mesh8, got {raw!r}")
+        raise ConfigError([f"{key} must be chain(n), random(n[, seed]), "
+                           f"or mesh8, got {raw!r}"])
     if raw == "mesh8":
         return TopologySpec(kind="mesh8", n=8)
     kind, n_text, seed_text = m.group(1), m.group(2), m.group(3)
     n = int(n_text)
     if n < 2:
-        raise _Invalid(f"{key} needs at least 2 nodes, got {n}")
+        raise ConfigError([f"{key} needs at least 2 nodes, got {n}"])
     if kind == "chain" and seed_text is not None:
-        raise _Invalid("chain(n) takes no seed argument")
+        raise ConfigError(["chain(n) takes no seed argument"])
     return TopologySpec(kind=kind, n=n,
                         placement_seed=int(seed_text) if seed_text else None)
 
@@ -116,17 +113,17 @@ def _channel_plan(raw: str, key: str) -> str:
     if raw in NAMED_CHANNEL_PLANS:
         return raw
     if not _EXPLICIT_PLAN_RE.match(raw):
-        raise _Invalid(f"{key} must be one of "
-                       f"{'/'.join(NAMED_CHANNEL_PLANS)} or an explicit "
-                       f"semicolon-separated per-node list like 1,6;6,11")
+        raise ConfigError([f"{key} must be one of "
+                           f"{'/'.join(NAMED_CHANNEL_PLANS)} or an explicit "
+                           f"semicolon-separated per-node list like 1,6;6,11"])
     for node, group in enumerate(raw.split(";")):
         listed = set()
         for ch_text in group.split(","):
             ch = int(ch_text)
             if not 1 <= ch <= 11:
-                raise _Invalid(f"channel {ch} outside 1..11")
+                raise ConfigError([f"channel {ch} outside 1..11"])
             if ch in listed:
-                raise _Invalid(f"node {node} channel group lists channel {ch} twice")
+                raise ConfigError([f"node {node} channel group lists channel {ch} twice"])
             listed.add(ch)
     return re.sub(r"\s+", "", raw)
 
@@ -139,10 +136,10 @@ def _flows(raw: str, key: str) -> Tuple[Tuple[int, int], ...]:
         part = part.strip()
         m = re.match(r"^(\d+)\s*>\s*(\d+)$", part)
         if not m:
-            raise _Invalid(f"flow {part!r} must look like src>dst")
+            raise ConfigError([f"flow {part!r} must look like src>dst"])
         src, dst = int(m.group(1)), int(m.group(2))
         if src == dst:
-            raise _Invalid(f"flow source {src} equals its destination")
+            raise ConfigError([f"flow source {src} equals its destination"])
         flows.append((src, dst))
     return tuple(flows)
 
@@ -261,10 +258,7 @@ _KEYS = {f.name: f for f in fields(ScenarioConfig)}
 def parse_value(key: str, raw: str):
     """One value of a declared key, checked by the key's own parser; raises
     ConfigError carrying that parser's message."""
-    try:
-        return _KEYS[key].metadata["parse"](raw.strip(), key)
-    except _Invalid as exc:
-        raise ConfigError([str(exc)]) from None
+    return _KEYS[key].metadata["parse"](raw.strip(), key)
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -361,7 +361,10 @@ class Sim:
     def _try_access(self, radio: MacRadioState):
         radio.access_pending = False
         if radio.exchange is not None or not radio.queue:
-            return
+            # kick schedules an attempt only for an idle radio with a queue,
+            # and nothing starts a handshake or empties a queue meanwhile
+            raise SimulationFault(f"access attempt at n{radio.node_id}, which is "
+                                  f"busy or has nothing to send")
         if self.now < radio.rx_engaged_until:
             self.kick(radio, radio.rx_engaged_until + self._backoff_wait(radio))
             return
@@ -532,7 +535,7 @@ class Sim:
             flow.unacked[seq] = rec
             self._inject_copy(flow, rec, next_hop)
             self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
-                          self._rto_expiry, flow, seq, rec.retx)
+                          self._rto_expiry, flow, seq)
 
     def _inject_copy(self, flow: FlowRuntime, rec: UnackedPacket, next_hop: int):
         rec.copies += 1
@@ -540,9 +543,11 @@ class Sim:
         self._send(flow, flow.src, next_hop, FrameKind.DATA, rec.seq,
                    self._new_uid(), rec.first_send, self.config.packet_size_bytes)
 
-    def _rto_expiry(self, flow: FlowRuntime, seq: int, retx: int):
+    def _rto_expiry(self, flow: FlowRuntime, seq: int):
+        # one timer is pending per unacknowledged packet, and only a firing
+        # timer schedules the next; an acknowledged packet's timer is a no-op
         rec = flow.unacked.get(seq)
-        if rec is None or rec.retx != retx:
+        if rec is None:
             return
         rec.retx += 1
         if rec.retx > TRANSPORT_RETRY_LIMIT:
@@ -558,7 +563,7 @@ class Sim:
         else:
             self._request_discovery(flow.src, flow.dst)
         self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
-                      self._rto_expiry, flow, seq, rec.retx)
+                      self._rto_expiry, flow, seq)
 
     # -- routing ------------------------------------------------------------
 

@@ -10,7 +10,8 @@ on demand.  Each table maps a node id to a set of node ids:
   the pcl beacons: every sender within INTERFERENCE_RANGE_M and the node
   itself, whose frame on one radio disturbs a reception on its others.
 
-The constructor builds each table by one pass over the nodes in x order.
+One sweep over the nodes in x order, `_within`, builds both tables: at
+TX_RANGE_M with the shared-channel test, and at INTERFERENCE_RANGE_M.
 `build_random` accepts or rejects each uniform placement on its
 communication graph alone, so a rejected placement costs its draws and that
 graph, with no Node objects; the kept placement's Topology is handed that
@@ -74,53 +75,38 @@ class Topology:
                                  f"{width} x {AREA_HEIGHT_M} area")
         by_x = sorted([(n.x, n.y, n.node_id) for n in self.nodes])
         if comm_adjacency is None:
-            comm_adjacency = _comm_adjacency(
-                by_x, {n.node_id: set(n.channels) for n in self.nodes})
+            channel_sets = {n.node_id: set(n.channels) for n in self.nodes}
+            comm_adjacency = _within(by_x, channel_sets, TX_RANGE_M, channel_sets)
         self.comm_adjacency = comm_adjacency
-        self.hears = _hearing_sets(by_x, self.by_id)
+        senders = _within(by_x, self.by_id, INTERFERENCE_RANGE_M)
+        for u, near in senders.items():
+            near.add(u)         # in place: a copy per node slows a random(100) build 5%
+        self.hears: Dict[int, FrozenSet[int]] = {
+            u: frozenset(near) for u, near in senders.items()}
 
     def distance(self, u: int, v: int) -> float:
         a, b = self.by_id[u], self.by_id[v]
         return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def _comm_adjacency(by_x: List[Tuple[float, float, int]],
-                    channel_sets: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
-    """The communication graph: nodes within TX_RANGE_M that share a channel
-    are linked.  by_x holds (x, y, node_id) in x order; channel_sets maps each
-    node id, in id order, to its channels."""
-    adjacency: Dict[int, Set[int]] = {u: set() for u in channel_sets}
-    reach = TX_RANGE_M
+def _within(by_x: List[Tuple[float, float, int]], ids: Iterable[int], reach: float,
+            channel_sets: Optional[Dict[int, Set[int]]] = None) -> Dict[int, Set[int]]:
+    """The others within reach of each node, keyed by ids in id order; by_x
+    holds (x, y, node_id) in x order.  Given channel_sets, only nodes that
+    share a channel count."""
+    near: Dict[int, Set[int]] = {u: set() for u in ids}
     for k, (ax, ay, u) in enumerate(by_x):
         for bx, by, v in by_x[k + 1:]:
             dx = bx - ax
             if dx > reach:      # so is every later node: hypot is never below |dx|
                 break
             dy = by - ay
-            if -reach <= dy <= reach and math.hypot(dx, dy) <= reach \
-                    and not channel_sets[u].isdisjoint(channel_sets[v]):
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-    return adjacency
-
-
-def _hearing_sets(by_x: List[Tuple[float, float, int]],
-                  ids: Iterable[int]) -> Dict[int, FrozenSet[int]]:
-    """Every sender whose frames reach each node: itself and everyone within
-    INTERFERENCE_RANGE_M; by_x as for _comm_adjacency, and ids gives the
-    keys in id order."""
-    near: Dict[int, Set[int]] = {u: {u} for u in ids}
-    reach = INTERFERENCE_RANGE_M
-    for k, (ax, ay, u) in enumerate(by_x):
-        for bx, by, v in by_x[k + 1:]:
-            dx = bx - ax
-            if dx > reach:      # as in _comm_adjacency
-                break
-            dy = by - ay
-            if -reach <= dy <= reach and math.hypot(dx, dy) <= reach:
+            if -reach <= dy <= reach and math.hypot(dx, dy) <= reach and (
+                    channel_sets is None
+                    or not channel_sets[u].isdisjoint(channel_sets[v])):
                 near[u].add(v)
                 near[v].add(u)
-    return {u: frozenset(senders) for u, senders in near.items()}
+    return near
 
 
 def _connected(adjacency: Dict[int, Set[int]]) -> bool:
@@ -207,7 +193,7 @@ def _placed(points: List[Tuple[float, float]], channels: List[Tuple[int, ...]],
     else None.  A placement is judged on that graph alone; the kept one's
     Topology is handed the graph, and nodes are made only for it."""
     by_x = sorted((x, y, i) for i, (x, y) in enumerate(points))
-    adjacency = _comm_adjacency(by_x, channel_sets)
+    adjacency = _within(by_x, channel_sets, TX_RANGE_M, channel_sets)
     if not _connected(adjacency):
         return None
     return Topology([Node(i, x, y, channels[i]) for i, (x, y) in enumerate(points)],
@@ -248,10 +234,9 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
     topo = _placed(positions, channels, channel_sets)
     if topo is not None:
         return topo
-    sharing = {u: {v for v in channel_sets
-                   if v != u and not mine.isdisjoint(channel_sets[v])}
-               for u, mine in channel_sets.items()}
-    if not _connected(sharing):
+    # the communication graph with no range limit, where placement is moot
+    if not _connected(_within([(0.0, 0.0, u) for u in channel_sets], channel_sets,
+                              math.inf, channel_sets)):
         raise BuildError(f"no connected placement of {n} nodes can exist: the "
                          f"channel plan splits them into groups that share no "
                          f"channel")

@@ -17,7 +17,7 @@ from meshsim import cli, engine, experiment
 from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec, parse_config
 from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, TRACE_LINE, Exchange, Sim
-from meshsim.experiment import corciar_run, execute
+from meshsim.experiment import RunRow, corciar_run, execute
 from meshsim.mac import (CW_MAX, CW_MIN, DIFS, HELLO_BYTES, SLOT_TIME, BackoffOutcome,
                          BackoffState, Frame, FrameKind, SimulationFault)
 from meshsim.medium import Jammer, Medium
@@ -289,6 +289,21 @@ def test_arming_a_timeout_that_is_due_faults():
     assert not sim._heap
 
 
+def test_access_attempt_on_a_busy_or_empty_radio_faults():
+    # kick schedules an attempt only for an idle radio with a queue
+    sim = Sim(chain_cfg(2), RouteMetric.HOP_COUNT, "x")
+    radio = sim.nodes[0].radios[0]
+    assert radio.exchange is None and not radio.queue
+    with pytest.raises(SimulationFault, match="access attempt"):
+        sim._try_access(radio)
+    sim, radio = waiting_radio("wait_cts")
+    radio.enqueue(Frame(kind=FrameKind.HELLO, src=0, dst=1, size_bytes=HELLO_BYTES,
+                        uid=1), sim.now)
+    with pytest.raises(SimulationFault, match="access attempt"):
+        sim._try_access(radio)
+    assert not sim._heap
+
+
 class TraceLines:
     """A trace file that keeps each written line."""
 
@@ -501,6 +516,27 @@ def test_link_estimators_smooth_with_the_configured_delta():
     assert {e.delta for e in estimators} == {0.5}
     seeded = Sim(cfg, RouteMetric.AVG_RTT, "corciar", seed_link_costs={(0, 1): 5.0})
     assert seeded.nodes[0].records[1].link_estimator.delta == 0.5
+
+
+def test_seeded_costs_of_pairs_that_are_not_links_are_skipped():
+    # on chain(4) nodes 0 and 2 sit 300 m apart, beyond TX_RANGE_M, and
+    # there is no node 9: none of these pairs is a link
+    cfg = chain_cfg(4, seed=2)
+    baseline = Sim(cfg, RouteMetric.HOP_COUNT, "aodv_hop").run()
+    real = baseline.link_costs
+    stray = {(0, 2): 1.0, (2, 0): 1.0, (9, 0): 1.0, (0, 9): 1.0}
+    assert real and not stray.keys() & real.keys()
+
+    def seeded(costs):
+        sim = Sim(cfg, RouteMetric.AVG_RTT, "corciar", seed_link_costs=costs)
+        records = {(u, v) for u, node in sim.nodes.items() for v in node.records}
+        result = sim.run()
+        return records, cli._result_cells(RunRow(cfg.topology.label(), cfg.seed,
+                                                 "corciar", result)), result.trace_hash
+
+    records, cells, trace_hash = seeded({**stray, **real})
+    assert records == set(real)
+    assert (records, cells, trace_hash) == seeded(dict(real))
 
 
 def test_finished_phases_are_freed_without_the_collector(monkeypatch):

@@ -1,5 +1,6 @@
 """Placement, channel assignment, and communication-graph derivation."""
 
+import collections
 import hashlib
 import math
 import random
@@ -245,29 +246,25 @@ def test_neighbour_tables_at_the_range_boundaries():
 
 
 class BuildSpy:
-    """Counts the placements judged (communication-graph passes), the
-    hearing-set passes and the Node objects made while building."""
+    """Counts the sweeps by reach (placements judged at TX_RANGE_M, hearing
+    sets built at INTERFERENCE_RANGE_M) and the Node objects made while
+    building."""
 
     def __init__(self, monkeypatch):
-        self.comm_passes = self.hearing_passes = self.nodes_made = 0
-        real_comm = topology._comm_adjacency
-        real_hears = topology._hearing_sets
+        self.passes = collections.Counter()
+        self.nodes_made = 0
+        real_within = topology._within
         real_node = topology.Node
 
-        def comm(*args):
-            self.comm_passes += 1
-            return real_comm(*args)
-
-        def hears(*args):
-            self.hearing_passes += 1
-            return real_hears(*args)
+        def within(by_x, ids, reach, *rest):
+            self.passes[reach] += 1
+            return real_within(by_x, ids, reach, *rest)
 
         def node(*args, **kwargs):
             self.nodes_made += 1
             return real_node(*args, **kwargs)
 
-        monkeypatch.setattr(topology, "_comm_adjacency", comm)
-        monkeypatch.setattr(topology, "_hearing_sets", hears)
+        monkeypatch.setattr(topology, "_within", within)
         monkeypatch.setattr(topology, "Node", node)
 
 
@@ -282,9 +279,8 @@ def test_rejected_placements_build_no_interference_lists(monkeypatch, n, seed, p
     # every placement was judged on its communication graph; only the kept
     # one has nodes and hearing sets, and its graph is handed over, not
     # built again
-    assert spy.comm_passes == placements
+    assert spy.passes == {TX_RANGE_M: placements, INTERFERENCE_RANGE_M: 1}
     assert spy.nodes_made == n
-    assert spy.hearing_passes == 1
     assert_tables_match_brute_force(topo)
 
 
