@@ -209,7 +209,7 @@ class Sim:
         self.now = 0.0
         self._heap: List[tuple] = []
         self._ordinals = itertools.count()   # same-time events run in scheduling order
-        self._uid = 0
+        self._uids = itertools.count(1)
         self._hash = hashlib.sha256()
         self._trace_file = trace_file
         self.dispatched = 0
@@ -252,7 +252,7 @@ class Sim:
 
         if seed_link_costs:
             for (u, v), cost_ms in seed_link_costs.items():
-                if u not in self.nodes or v not in self.topo.comm_adjacency.get(u, ()):
+                if v not in self.topo.comm_adjacency.get(u, ()):
                     continue
                 neighbor_record(self.nodes[u].records, v,
                                 config.delta).link_estimator.update(cost_ms)
@@ -281,10 +281,6 @@ class Sim:
 
     def _air(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.rate
-
-    def _new_uid(self) -> int:
-        self._uid += 1
-        return self._uid
 
     def _radio_on_channel(self, node_id: int, channel: int) -> Optional[MacRadioState]:
         for r in self.nodes[node_id].radios:
@@ -339,13 +335,10 @@ class Sim:
         """Queue a frame on the node's radio on the lowest channel it shares
         with frame.dst; False on drop."""
         radio = None
-        peers = self.nodes[frame.dst].radios
         for r in self.nodes[node_id].radios:
-            if radio is None or r.channel < radio.channel:
-                for peer in peers:
-                    if peer.channel == r.channel:
-                        radio = r
-                        break
+            if (radio is None or r.channel < radio.channel) \
+                    and self._radio_on_channel(frame.dst, r.channel) is not None:
+                radio = r
         if radio is None:
             return False
         result = radio.enqueue(frame, self.now)
@@ -486,7 +479,7 @@ class Sim:
                 flow.stats.bytes_received += frame.size_bytes
                 flow.stats.e2e_delays.append((self.now - frame.born) * 1000.0)
             self._send(flow, node_id, self._route_next_hop(node_id, flow.src),
-                       FrameKind.ACK, frame.seq, self._new_uid(), self.now,
+                       FrameKind.ACK, frame.seq, next(self._uids), self.now,
                        TRANSPORT_ACK_BYTES)
         elif frame.kind is FrameKind.ACK and node_id == flow.src:
             self._transport_ack_received(flow, frame.seq)
@@ -527,7 +520,7 @@ class Sim:
         while len(flow.unacked) < self.config.window:
             next_hop = self._route_next_hop(flow.src, flow.dst)
             if next_hop is None:
-                self._request_discovery(flow.src, flow.dst)
+                self._attempt_discovery(flow.src, flow.dst)
                 return
             seq = flow.stats.packets_sent
             flow.stats.packets_sent += 1
@@ -541,7 +534,7 @@ class Sim:
         rec.copies += 1
         flow.copies_injected += 1
         self._send(flow, flow.src, next_hop, FrameKind.DATA, rec.seq,
-                   self._new_uid(), rec.first_send, self.config.packet_size_bytes)
+                   next(self._uids), rec.first_send, self.config.packet_size_bytes)
 
     def _rto_expiry(self, flow: FlowRuntime, seq: int):
         # one timer is pending per unacknowledged packet, and only a firing
@@ -561,7 +554,7 @@ class Sim:
         if next_hop is not None:
             self._inject_copy(flow, rec, next_hop)
         else:
-            self._request_discovery(flow.src, flow.dst)
+            self._attempt_discovery(flow.src, flow.dst)
         self.schedule(self.now + rec.rto, "RtoExpiry", flow.src,
                       self._rto_expiry, flow, seq)
 
@@ -598,11 +591,11 @@ class Sim:
             if self.metric is RouteMetric.AVG_RTT else None
         return path or aodv_discover(adjacency, src, dst)
 
-    def _request_discovery(self, src: int, dst: int):
-        if (src, dst) not in self._discovering:
-            self._attempt_discovery(src, dst, 1)
-
-    def _attempt_discovery(self, src: int, dst: int, attempt: int):
+    def _attempt_discovery(self, src: int, dst: int, attempt: int = 1):
+        """Try discovery for the pair; a first try is a no-op while a search
+        for it is under way (a retry is pending or a reply is crossing)."""
+        if attempt == 1 and (src, dst) in self._discovering:
+            return
         path = self._best_path(src, dst)
         if path is not None:
             self._install_after_reply(src, dst, path)
@@ -665,7 +658,7 @@ class Sim:
         if (src, dst) in self._discovering:
             return
         if self.nodes[src].route_table.lookup(dst, self.now) is None:
-            self._attempt_discovery(src, dst, 1)
+            self._attempt_discovery(src, dst)
             return
         current = self._flow_paths[(src, dst)]
         # None when every path has a link with no usable measurement
@@ -682,7 +675,7 @@ class Sim:
     def _hello_tick(self, node_id: int):
         for v in sorted(self.topo.comm_adjacency[node_id]):
             hello = Frame(kind=FrameKind.HELLO, src=node_id, dst=v,
-                          size_bytes=HELLO_BYTES, uid=self._new_uid())
+                          size_bytes=HELLO_BYTES, uid=next(self._uids))
             if not self._enqueue(node_id, hello):
                 self.counters["hello_queue_drops"] += 1
         self.schedule(self.now + HELLO_INTERVAL, "HelloTick", node_id,

@@ -83,12 +83,11 @@ def execute(config: ScenarioConfig, trace_file=None) -> List[RunRow]:
         result = Sim(config, RouteMetric.HOP_COUNT, "aodv_hop",
                      trace_file=trace_file).run()
         return [RunRow(scenario, config.seed, "aodv_hop", result)]
-    if config.protocol == "corciar":
-        _, rerouted, report = corciar_run(config, trace_file=trace_file)
-        return [RunRow(scenario, config.seed, "corciar", rerouted, report)]
     baseline, rerouted, report = corciar_run(config, trace_file=trace_file)
-    return [RunRow(scenario, config.seed, "aodv_hop", baseline),
-            RunRow(scenario, config.seed, "corciar", rerouted, report)]
+    rows = [RunRow(scenario, config.seed, "corciar", rerouted, report)]
+    if config.protocol == "both":
+        rows.insert(0, RunRow(scenario, config.seed, "aodv_hop", baseline))
+    return rows
 
 
 def config_for_axis(base: ScenarioConfig, axis: str, value: int,

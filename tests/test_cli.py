@@ -218,6 +218,16 @@ def test_run_rejects_unbuildable_topology(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_rejects_an_explicit_plan_of_the_wrong_shape(tmp_path, capsys):
+    # one channel per node where the default two radios need two
+    path = write_cfg(tmp_path, "topology = chain(3)\nchannel_plan = 1;6;11\n")
+    out = tmp_path / "rows.csv"
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: node 0 channel group (1,) "
+                                       "does not match radios_per_node = 2\n")
+    assert out.read_text() == ""        # opened before the run; no row written
+
+
 def test_runtime_fault_exits_two(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, FAST_CFG)
 
@@ -267,6 +277,19 @@ def test_sweep_rows_ordered_with_medians(tmp_path):
         ("chain(3)", "", "aodv_hop=median:"), ("chain(3)", "", "corciar=median:"),
         ("chain(4)", "", "aodv_hop=median:"), ("chain(4)", "", "corciar=median:"),
     ]
+
+
+def test_sweep_median_of_split_counts_is_fractional(tmp_path):
+    # the first flow of random(12) takes 1 hop under seed 1 and 2 under
+    # seed 5, so the median row's n_hops is 1.5
+    cfg = write_cfg(tmp_path, "sim_time_s = 4\nprotocol = aodv_hop\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--nodes", "12", "--seeds", "1,5",
+                     "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[4] for line in lines[1:]] == ["1", "2", "1.5"]
+    assert lines[3] == ("random(12),,aodv_hop=median:,12,1.5,351.000000,"
+                        "0.954064,39.395142,68.237843,,")
 
 
 def test_sweep_is_byte_stable(tmp_path):

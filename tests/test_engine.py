@@ -108,13 +108,13 @@ def test_transport_gives_up_under_an_always_on_jammer(monkeypatch):
     cfg = chain_cfg(3, sim_time_s=80.0, seed=3, jammer_channel=6,
                     jammer_x=225.0, jammer_y=0.0, jammer_on_s=1000.0)
     callers = []
-    request = Sim._request_discovery
+    attempt = Sim._attempt_discovery
 
     def counted(sim, *args):
         callers.append(sys._getframe(1).f_code.co_name)
-        return request(sim, *args)
+        return attempt(sim, *args)
 
-    monkeypatch.setattr(Sim, "_request_discovery", counted)
+    monkeypatch.setattr(Sim, "_attempt_discovery", counted)
     baseline, rerouted, _ = corciar_run(cfg)      # raises on a broken balance
     for res in (baseline, rerouted):
         st = res.flow_stats[0]
@@ -504,6 +504,25 @@ def test_reevaluation_runs_one_search(monkeypatch):
     searches.clear()
     assert sim._best_path(flow.src, flow.dst) == [0, 1, 2]
     assert searches == ["rtt", "hops"]
+
+
+def test_reevaluation_of_a_lapsed_route_starts_discovery():
+    """A flow route that lapsed with no lookup is found again by discovery;
+    the re-evaluation chain waits for that install instead of ticking on."""
+    sim = Sim(chain_cfg(3), RouteMetric.AVG_RTT, "corciar")
+    sim._install_route(0, 2, (0, 1, 2))
+    sim._heap.clear()           # the window and re-evaluation it started
+    sim.now = ROUTE_LIFETIME + 1.0
+    sim._route_reeval(0, 2)
+    assert (0, 2) in sim._discovering
+    assert [fn.__name__ for _, _, _, fn, _ in sim._heap] == ["_install_route"]
+    # the reply crosses the path, the install ends the search and restarts
+    # the chain
+    t, _, _, fn, args = heapq.heappop(sim._heap)
+    sim.now = t
+    fn(*args)
+    assert not sim._discovering
+    assert [fn.__name__ for _, _, _, fn, _ in sim._heap].count("_route_reeval") == 1
 
 
 def test_link_estimators_smooth_with_the_configured_delta():
