@@ -211,8 +211,14 @@ class Sim:
         self._ordinals = itertools.count()   # same-time events run in scheduling order
         self._uids = itertools.count(1)
         self._hash = hashlib.sha256()
-        self._trace_file = trace_file
-        self.dispatched = 0
+        # the trace's one sink: each line is hashed, then written to any trace_file
+        self._emit = self._hash.update
+        if trace_file is not None:
+            hash_update, write = self._emit, trace_file.write
+            def emit(line: bytes):
+                hash_update(line)
+                write(line.decode())
+            self._emit = emit
         self.corrupted_receptions = 0
         # hello_queue_drops counts every hello _enqueue refused: a full
         # queue, or a neighbour that shares no current channel (pcl retunes)
@@ -716,8 +722,7 @@ class Sim:
                 self.schedule(min(FLOW_START_S, sim_time), "FlowSendWindow",
                               flow.src, self._fill_window, flow)
         heap = self._heap
-        hash_update = self._hash.update
-        write = self._trace_file.write if self._trace_file is not None else None
+        emit = self._emit
         line_format = _LINE_FORMAT
         dispatched = 0
         while heap and heap[0][0] <= sim_time:
@@ -726,22 +731,15 @@ class Sim:
                 raise SimulationFault("event clock moved backwards")
             self.now = t
             dispatched += 1
-            line = line_format % (t, tag)
-            hash_update(line)
-            if write is not None:
-                write(line.decode())
+            emit(line_format % (t, tag))
             fn(*args)
-        self.dispatched = dispatched
         # the events left over hold bound methods of this Sim; dropping them
         # breaks that cycle, so a finished run is freed without the collector
         heap.clear()
         self.now = sim_time
-        line = line_format % (sim_time, trace_tag("SimEnd", -1))
-        hash_update(line)
-        if write is not None:
-            write(line.decode())
+        emit(line_format % (sim_time, trace_tag("SimEnd", -1)))
         self._check_conservation()
-        return self._result()
+        return self._result(dispatched)
 
     def _check_conservation(self):
         residual = [0] * len(self.flows)
@@ -775,7 +773,7 @@ class Sim:
                     costs[(node_id, v)] = rec.link_estimator.average_rtt
         return costs
 
-    def _result(self) -> SimResult:
+    def _result(self, dispatched: int) -> SimResult:
         stats = [flow.stats for flow in self.flows]
         sim_time = self.config.sim_time_s
         if sim_time > 0:
@@ -795,7 +793,7 @@ class Sim:
             n_hops=None if first_path is None else len(first_path) - 1,
             trace_hash=self._hash.hexdigest(),
             corrupted_receptions=self.corrupted_receptions,
-            dispatched_events=self.dispatched,
+            dispatched_events=dispatched,
             link_costs=self.final_link_costs(),
             route_rows=route_rows,
             counters=dict(self.counters),

@@ -97,7 +97,8 @@ def _literal_match(c1: int, local: int, offset: int) -> bool:
     return c1 == (local + offset) % 11
 
 
-def _decide(c1, local_channels, mode, offset, min_separation):
+def _decide(c1, local_channels, mode, threshold):
+    # threshold: the literal rule's channel offset, the symmetric rule's least separation
     validate_channel(c1)
     if mode not in ("literal", "symmetric"):
         raise ValueError(f"unknown rts mode {mode!r}")
@@ -106,9 +107,9 @@ def _decide(c1, local_channels, mode, offset, min_separation):
         if c1 == local:
             return RtsDecision.DEFER
         if mode == "literal":
-            if not _literal_match(c1, local, offset):
+            if not _literal_match(c1, local, threshold):
                 return RtsDecision.DEFER
-        elif separation(c1, local) < min_separation:
+        elif separation(c1, local) < threshold:
             return RtsDecision.DEFER
     return RtsDecision.SEND_CTS
 
@@ -119,12 +120,12 @@ def handle_rts_qos(c1: int, local_channels: Iterable[int], mode: str = "symmetri
     An empty ``local_channels`` means the receiver has no conflicting
     activity, which admits the transmission.
     """
-    return _decide(c1, local_channels, mode, offset=5, min_separation=5)
+    return _decide(c1, local_channels, mode, threshold=5)
 
 
 def handle_rts_delay_tolerant(c1: int, local_channels: Iterable[int], mode: str = "symmetric") -> RtsDecision:
     """Admission test for delay-tolerant traffic: separation 4 is also allowed."""
-    return _decide(c1, local_channels, mode, offset=4, min_separation=4)
+    return _decide(c1, local_channels, mode, threshold=4)
 
 
 def rts_handler(traffic_class: str):

@@ -301,6 +301,28 @@ def test_sweep_is_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_reports_failed_cells_and_writes_the_rest(tmp_path, capsys):
+    # three node groups fit chain(3) but not chain(4), so every hops=3 cell fails
+    cfg = write_cfg(tmp_path, "channel_plan = 1,6;6,11;11,1\nsim_time_s = 4\n"
+                              "protocol = aodv_hop\n")
+    out = tmp_path / "sweep.csv"
+    failed = [f"sweep cell failed: hops=3 seed={seed}: explicit channel_plan has "
+              f"3 node groups, topology has 4 nodes" for seed in (1, 2)]
+    assert cli.main(["sweep", "--hops", "2,3", "--seeds", "1,2",
+                     "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == failed
+    lines = out.read_text().splitlines()
+    assert lines[0] == cli.CSV_HEADER
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["chain(3)", "1", "aodv_hop"], ["chain(3)", "2", "aodv_hop"],
+        ["chain(3)", "", "aodv_hop=median:"]]
+
+    assert cli.main(["sweep", "--hops", "3", "--seeds", "1,2",
+                     "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == failed + ["all sweep cells failed"]
+    assert out.read_bytes() == b""
+
+
 def test_sweep_needs_exactly_one_axis(capsys):
     assert cli.main(["sweep", "--seeds", "1"]) == 1
     assert cli.main(["sweep", "--hops", "2", "--nodes", "20", "--seeds", "1"]) == 1

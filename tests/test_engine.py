@@ -318,10 +318,12 @@ class EagerTimeoutSim(Sim):
     """The engine as it was before timeouts armed only on failure: every
     handshake timeout enters the heap when its wait begins, under the same
     reserved key, and one whose handshake moved on dispatches as a no-op.
-    Records the trace line index of each such no-op."""
+    Records the trace line index of each such no-op, read from the
+    TraceLines it is handed."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.trace_lines = kwargs["trace_file"].lines
         self.noop_lines = []
 
     def _push_timeout(self, radio):
@@ -345,7 +347,7 @@ class EagerTimeoutSim(Sim):
 
     def _exchange_timeout(self, radio, ex, phase):
         if radio.exchange is not ex or ex.state != phase:
-            self.noop_lines.append(len(self._trace_file.lines) - 1)
+            self.noop_lines.append(len(self.trace_lines) - 1)
             return
         super()._exchange_timeout(radio, ex, phase)
 
@@ -613,6 +615,12 @@ def test_trace_file_matches_in_memory_trace(tmp_path):
     rows = execute(parse_config(text), trace_file=buf)
     data = trace.read_bytes()
     assert data == buf.getvalue().encode()
+    # with no trace file the sink only hashes: the same hashes, the same cells
+    untraced = execute(parse_config(text))
+    assert [row.result.trace_hash for row in untraced] \
+        == [row.result.trace_hash for row in rows]
+    assert [cli._result_cells(row) for row in untraced] \
+        == [cli._result_cells(row) for row in rows]
     hashes, phase, labels, nodes = [], hashlib.sha256(), set(), set()
     for line in data.decode().splitlines(keepends=True):
         time_s, label, node = line.split()
