@@ -18,11 +18,10 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .channel import classify, interference_factor
-from .config import ConfigError, parse_config, parse_value
+from .channel import ALL_CHANNELS, classify, interference_factor
+from .config import ConfigError, integer, parse_config, parse_value
 from .experiment import NUMERIC_COLUMNS, RunRow, execute, median_cells, sweep
 from .mac import SimulationFault, handle_rts_delay_tolerant, handle_rts_qos
-from .topology import BuildError
 
 CSV_HEADER = ",".join(["scenario", "seed", "protocol",
                        *(name for name, _, _ in NUMERIC_COLUMNS), "collision_class"])
@@ -89,7 +88,9 @@ def _front_end(files: contextlib.ExitStack, config_path: Optional[str],
     return config, opened
 
 
-def _distinct(flag: str, values: List[int]) -> List[int]:
+def _parse_list(flag: str, text: str, parse) -> List[int]:
+    """A comma list of distinct values, each item read by parse(item)."""
+    values = [parse(item.strip()) for item in text.split(",") if item.strip()]
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError([f"{flag} lists {value} more than once"])
@@ -103,19 +104,7 @@ def _parse_seeds(text: str) -> List[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(parse_value("seed", lo), parse_value("seed", hi) + 1))
-    return _distinct("--seeds", [parse_value("seed", part)
-                                 for part in text.split(",") if part.strip()])
-
-
-def _parse_int_list(flag: str, text: str, minimum: int) -> List[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError([f"{flag} must be a comma list of integers, got {text!r}"]) from None
-    for value in _distinct(flag, values):
-        if value < minimum:
-            raise ConfigError([f"{flag} values must be >= {minimum}, got {value}"])
-    return values
+    return _parse_list("--seeds", text, lambda item: parse_value("seed", item))
 
 
 def cmd_run(args, files: contextlib.ExitStack) -> int:
@@ -142,7 +131,9 @@ def cmd_sweep(args, files: contextlib.ExitStack) -> int:
     # the least axis value that builds: a chain of hops + 1 nodes, or a
     # random topology of n nodes, needs 2 nodes
     axis, minimum = ("hops", 1) if args.hops else ("nodes", 2)
-    values = _parse_int_list(f"--{axis}", args.hops or args.nodes, minimum)
+    flag = f"--{axis}"
+    values = _parse_list(flag, args.hops or args.nodes,
+                         lambda item: integer(minimum)(item, flag))
     if not values or not seeds:
         raise ConfigError(["sweep needs a nonempty axis and seed list"])
     config, (out,) = _front_end(files, args.config_flag, None, args.out)
@@ -172,8 +163,8 @@ def cmd_sweep(args, files: contextlib.ExitStack) -> int:
 
 def _channel_matrix(name: str, cell) -> List[str]:
     lines = []
-    for c1 in range(1, 12):
-        cells = [name, str(c1)] + [cell(c1, c2) for c2 in range(1, 12)]
+    for c1 in ALL_CHANNELS:
+        cells = [name, str(c1)] + [cell(c1, c2) for c2 in ALL_CHANNELS]
         lines.append(",".join(cells))
     return lines
 
@@ -184,7 +175,7 @@ def cmd_channel_table(args, files: contextlib.ExitStack) -> int:
         lambda c1, c2: handle_rts_qos(c1, [c2], mode=mode).value)
     decide_dt = lambda mode: (
         lambda c1, c2: handle_rts_delay_tolerant(c1, [c2], mode=mode).value)
-    lines = ["table,channel," + ",".join(str(c) for c in range(1, 12))]
+    lines = ["table,channel," + ",".join(str(c) for c in ALL_CHANNELS)]
     lines += _channel_matrix("class", lambda a, b: classify(a, b).value)
     lines += _channel_matrix("factor", lambda a, b: f"{interference_factor(a, b):.6f}")
     lines += _channel_matrix("qos_literal", decide_qos("literal"))
@@ -246,8 +237,8 @@ def main(argv=None) -> int:
     try:
         with contextlib.ExitStack() as files:
             return args.func(args, files)
-    except (ConfigError, BuildError) as exc:
-        for message in exc.errors if isinstance(exc, ConfigError) else [exc]:
+    except ConfigError as exc:
+        for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 1
     except SimulationFault as exc:

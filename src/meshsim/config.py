@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
+from .channel import ALL_CHANNELS, CHANNEL_MAX, CHANNEL_MIN
 from .mac import LONGEST_FIXED_BYTES
 
 VALID_RTS_MODES = ("symmetric", "literal")
@@ -53,7 +54,7 @@ class TopologySpec:
 # parsed value or raises ConfigError with the exact user-facing message, to
 # which parse_config prefixes its line number.
 
-def _integer(minimum=None, maximum=None):
+def integer(minimum=None, maximum=None):
     def parse(raw: str, key: str) -> int:
         try:
             if re.match(r"^[+-]?\d+$", raw) is None:
@@ -120,8 +121,8 @@ def _channel_plan(raw: str, key: str) -> str:
         listed = set()
         for ch_text in group.split(","):
             ch = int(ch_text)
-            if not 1 <= ch <= 11:
-                raise ConfigError([f"channel {ch} outside 1..11"])
+            if not CHANNEL_MIN <= ch <= CHANNEL_MAX:
+                raise ConfigError([f"channel {ch} outside {CHANNEL_MIN}..{CHANNEL_MAX}"])
             if ch in listed:
                 raise ConfigError([f"node {node} channel group lists channel {ch} twice"])
             listed.add(ch)
@@ -148,7 +149,7 @@ def _show_flows(flows: Tuple[Tuple[int, int], ...]) -> str:
     return "auto" if not flows else ", ".join(f"{s}>{d}" for s, d in flows)
 
 
-_channel_number = _integer(1, 11)
+_channel_number = integer(CHANNEL_MIN, CHANNEL_MAX)
 
 
 def _channel_or_none(raw: str, key: str) -> Optional[int]:
@@ -177,7 +178,8 @@ class ScenarioConfig:
         "node layout: `chain(n)`, `random(n[, seed])`, or `mesh8`, the built-in "
         "8-node mesh", show=TopologySpec.label)
     radios_per_node: int = _key(
-        2, _integer(1, 11), "radios fitted to every node, 1 to 11; `mesh8` needs 2")
+        2, integer(1, len(ALL_CHANNELS)),
+        f"radios fitted to every node, 1 to {len(ALL_CHANNELS)}; `mesh8` needs 2")
     channel_plan: str = _key(
         "orthogonal", _channel_plan,
         "how initial channels are assigned: `orthogonal`, `overlapping`, `pcl`, "
@@ -197,7 +199,7 @@ class ScenarioConfig:
         100.0, _number(_SECONDS, lambda v: v < 0, ">= 0 seconds"),
         "simulated duration in seconds; `0` is an inert run")
     packet_size_bytes: int = _key(
-        1000, _integer(1, 2**50),
+        1000, integer(1, 2**50),
         "size of a data frame on the air, in bytes; at most `2**50`, so every bit "
         "count is an exact float")
     data_rate_bps: float = _key(
@@ -209,12 +211,12 @@ class ScenarioConfig:
     theta: float = _key(
         0.1, _number(reject=lambda v: not 0.0 <= v <= 1.0, requirement="in [0,1]"),
         "interference factor above which a reception corrupts")
-    window: int = _key(4, _integer(1), "transport send window in packets")
-    queue_capacity: int = _key(50, _integer(1), "per-radio FIFO depth")
+    window: int = _key(4, integer(1), "transport send window in packets")
+    queue_capacity: int = _key(50, integer(1), "per-radio FIFO depth")
     flows: Tuple[Tuple[int, int], ...] = _key(
         (), _flows, "`src>dst` pairs, comma separated; `auto` picks defaults",
         show=_show_flows)
-    seed: int = _key(1, _integer(0), "RNG seed (override per run with `--seed`)")
+    seed: int = _key(1, integer(0), "RNG seed (override per run with `--seed`)")
     jammer_channel: Optional[int] = _key(
         None, _channel_or_none, "channel of a periodic jammer; `none` means no jammer",
         show=_show_channel_or_none)

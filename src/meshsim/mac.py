@@ -98,14 +98,13 @@ def _literal_match(c1: int, local: int, offset: int) -> bool:
 
 
 def _decide(c1, local_channels, mode, threshold):
-    # threshold: the literal rule's channel offset, the symmetric rule's least separation
+    # threshold: the literal rule's channel offset, the symmetric rule's least
+    # separation.  Both rules defer c1 == local at thresholds 4 and 5.
     validate_channel(c1)
     if mode not in ("literal", "symmetric"):
         raise ValueError(f"unknown rts mode {mode!r}")
     for local in local_channels:
         validate_channel(local)
-        if c1 == local:
-            return RtsDecision.DEFER
         if mode == "literal":
             if not _literal_match(c1, local, threshold):
                 return RtsDecision.DEFER

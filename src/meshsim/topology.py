@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .channel import ALL_CHANNELS
-from .config import NAMED_CHANNEL_PLANS, ScenarioConfig
+from .config import NAMED_CHANNEL_PLANS, ConfigError, ScenarioConfig
 
 TX_RANGE_M = 250.0
 INTERFERENCE_RANGE_M = 550.0
@@ -42,10 +42,6 @@ ORTHOGONAL_CYCLE = (1, 6, 11)
 OVERLAPPING_CYCLE = (1, 3, 5)
 
 MAX_PLACEMENT_ATTEMPTS = 100
-
-
-class BuildError(ValueError):
-    """Topology cannot be constructed from this configuration."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +64,11 @@ class Topology:
         self.gateway = gateway
         self.by_id: Dict[int, Node] = {n.node_id: n for n in self.nodes}
         if gateway not in self.by_id:
-            raise BuildError(f"gateway {gateway} is not a node")
+            raise ConfigError([f"gateway {gateway} is not a node"])
         for n in self.nodes:
             if not (0.0 <= n.x <= width and 0.0 <= n.y <= AREA_HEIGHT_M):
-                raise BuildError(f"node {n.node_id} at ({n.x}, {n.y}) outside "
-                                 f"{width} x {AREA_HEIGHT_M} area")
+                raise ConfigError([f"node {n.node_id} at ({n.x}, {n.y}) outside "
+                                   f"{width} x {AREA_HEIGHT_M} area"])
         by_x = sorted([(n.x, n.y, n.node_id) for n in self.nodes])
         if comm_adjacency is None:
             channel_sets = {n.node_id: set(n.channels) for n in self.nodes}
@@ -140,12 +136,12 @@ def _pad_channels(wanted: List[int], cycle: Tuple[int, ...], start: int, count: 
 def _explicit_groups(plan: str, n: int, radios: int) -> List[Tuple[int, ...]]:
     groups = [tuple(int(c) for c in g.split(",")) for g in plan.split(";")]
     if len(groups) != n:
-        raise BuildError(f"explicit channel_plan has {len(groups)} node groups, "
-                         f"topology has {n} nodes")
+        raise ConfigError([f"explicit channel_plan has {len(groups)} node groups, "
+                           f"topology has {n} nodes"])
     for i, g in enumerate(groups):
         if len(g) != radios:
-            raise BuildError(f"node {i} channel group {g} does not match "
-                             f"radios_per_node = {radios}")
+            raise ConfigError([f"node {i} channel group {g} does not match "
+                               f"radios_per_node = {radios}"])
     return groups
 
 
@@ -158,13 +154,13 @@ def _chain_channels(i: int, n: int, cycle: Tuple[int, ...], radios: int) -> Tupl
         if forward not in wanted:
             wanted.append(forward)
     if len(wanted) > radios:
-        raise BuildError("named channel plans on a chain need radios_per_node >= 2")
+        raise ConfigError(["named channel plans on a chain need radios_per_node >= 2"])
     return _pad_channels(wanted, cycle, i % len(cycle), radios)
 
 
 def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
     if n < 2:
-        raise BuildError("chain needs at least 2 nodes")
+        raise ConfigError(["chain needs at least 2 nodes"])
     width = max(AREA_WIDTH_M, CHAIN_SPACING_M * (n - 1))
     if channel_plan in NAMED_CHANNEL_PLANS:
         cycle = _cycle_for_plan(channel_plan)
@@ -177,8 +173,8 @@ def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
     # in the communication graph exactly when its nodes share a channel
     for i in range(n - 1):
         if i + 1 not in topo.comm_adjacency[i]:
-            raise BuildError(f"chain link {i}-{i + 1} has no shared channel under "
-                             f"this channel plan")
+            raise ConfigError([f"chain link {i}-{i + 1} has no shared channel under "
+                               f"this channel plan"])
     return topo
 
 
@@ -202,7 +198,7 @@ def _placed(points: List[Tuple[float, float]], channels: List[Tuple[int, ...]],
 
 def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> Topology:
     if n < 2:
-        raise BuildError("random topology needs at least 2 nodes")
+        raise ConfigError(["random topology needs at least 2 nodes"])
     rng = random.Random(seed)
     if channel_plan in NAMED_CHANNEL_PLANS:
         channels = [_random_node_channels(i, channel_plan, radios_per_node)
@@ -237,12 +233,12 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
     # the communication graph with no range limit, where placement is moot
     if not _connected(_within([(0.0, 0.0, u) for u in channel_sets], channel_sets,
                               math.inf, channel_sets)):
-        raise BuildError(f"no connected placement of {n} nodes can exist: the "
-                         f"channel plan splits them into groups that share no "
-                         f"channel")
-    raise BuildError(f"no connected placement of {n} nodes in "
-                     f"{MAX_PLACEMENT_ATTEMPTS} attempts; density too low for "
-                     f"{TX_RANGE_M} m range")
+        raise ConfigError([f"no connected placement of {n} nodes can exist: the "
+                           f"channel plan splits them into groups that share no "
+                           f"channel"])
+    raise ConfigError([f"no connected placement of {n} nodes in "
+                       f"{MAX_PLACEMENT_ATTEMPTS} attempts; density too low for "
+                       f"{TX_RANGE_M} m range"])
 
 
 def build_mesh8() -> Topology:
@@ -272,17 +268,17 @@ def build_topology(config: ScenarioConfig) -> Topology:
     if spec.kind == "mesh8":
         # the layout fixes two channels per node; only pcl may retune them
         if config.radios_per_node != 2 or config.channel_plan not in ("orthogonal", "pcl"):
-            raise BuildError("mesh8 has two fixed channels per node: it needs "
-                             "radios_per_node = 2 and channel_plan orthogonal or pcl")
+            raise ConfigError(["mesh8 has two fixed channels per node: it needs "
+                               "radios_per_node = 2 and channel_plan orthogonal or pcl"])
         return build_mesh8()
-    raise BuildError(f"unknown topology kind {spec.kind!r}")
+    raise ConfigError([f"unknown topology kind {spec.kind!r}"])
 
 
 def resolve_flows(config: ScenarioConfig, topo: Topology) -> Tuple[Tuple[int, int], ...]:
     if config.flows:
         for src, dst in config.flows:
             if src not in topo.by_id or dst not in topo.by_id:
-                raise BuildError(f"flow {src}>{dst} names a node the topology lacks")
+                raise ConfigError([f"flow {src}>{dst} names a node the topology lacks"])
         return config.flows
     gw = topo.gateway
     if config.topology.kind == "chain":

@@ -122,10 +122,9 @@ NO_DIR = "{tmp}/missing/out: No such file or directory"
     (["sweep", "--hops", "2", "--seeds", "1,3,1"], "--seeds lists 1 more than once"),
     (["run", "a.cfg", "--config", "b.cfg"],
      "give one config path: positional or --config, not both"),
-    (["sweep", "--hops", "2,0", "--seeds", "1"], "--hops values must be >= 1, got 0"),
-    (["sweep", "--nodes", "1", "--seeds", "1"], "--nodes values must be >= 2, got 1"),
-    (["sweep", "--hops", "2,x", "--seeds", "1"],
-     "--hops must be a comma list of integers, got '2,x'"),
+    (["sweep", "--hops", "2,0", "--seeds", "1"], "--hops must be >= 1, got 0"),
+    (["sweep", "--nodes", "1", "--seeds", "1"], "--nodes must be >= 2, got 1"),
+    (["sweep", "--hops", "2,x", "--seeds", "1"], "--hops must be an integer, got 'x'"),
     (["sweep", "--seeds", "1"], "sweep needs exactly one of --hops or --nodes"),
     (["sweep", "--hops", "2", "--nodes", "20", "--seeds", "1"],
      "sweep needs exactly one of --hops or --nodes"),
@@ -141,13 +140,17 @@ NO_DIR = "{tmp}/missing/out: No such file or directory"
     (["run", "{tmp}/latin1.cfg", "--dump-routes", "{tmp}/latin1.cfg"],
      "each input and output needs its own file"),
     (["sweep", "--config", "{tmp}/latin1.cfg", "--hops", "2", "--seeds", "1"], NOT_UTF8),
+    (["sweep", "--hops", "1_0", "--seeds", "1"], "--hops must be an integer, got '1_0'"),
+    (["sweep", "--nodes", "2_0", "--seeds", "1"], "--nodes must be an integer, got '2_0'"),
+    (["sweep", "--hops", "2", "--seeds", "1_0"], "seed must be an integer, got '1_0'"),
 ], ids=["run-negative-seed", "run-text-seed", "sweep-negative-seed",
         "sweep-negative-range", "repeated-hops", "repeated-nodes", "repeated-seeds",
         "run-two-configs", "sweep-zero-hops", "sweep-one-node", "sweep-text-hops",
         "sweep-no-axis", "sweep-two-axes", "sweep-empty-axis", "run-out-no-dir",
         "run-trace-no-dir", "run-routes-no-dir", "sweep-out-no-dir", "table-out-no-dir",
         "run-config-not-utf8", "run-out-is-trace", "run-routes-is-config",
-        "sweep-config-not-utf8"])
+        "sweep-config-not-utf8", "underscore-hops", "underscore-nodes",
+        "underscore-seeds"])
 def test_command_line_values_checked_before_running(argv, message, tmp_path, capsys,
                                                     monkeypatch):
     def must_not_run(*args, **kwargs):

@@ -17,6 +17,7 @@ from meshsim.mac import (
     handle_rts_delay_tolerant,
     handle_rts_qos,
     hop_delay,
+    rts_handler,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -104,6 +105,12 @@ def test_rts_rejects_bad_inputs():
         handle_rts_qos(6, [1], mode="loose")
     with pytest.raises(ValueError):
         handle_rts_qos(1, [], mode="bogus")
+
+
+def test_rts_handler_rejects_an_unknown_traffic_class():
+    assert rts_handler("qos") is handle_rts_qos
+    with pytest.raises(ValueError, match="unknown traffic class 'bulk'"):
+        rts_handler("bulk")
 
 
 def _stamped(t_i=0.0, t_h=None, t_next=None):

@@ -1,6 +1,7 @@
 """Placement, channel assignment, and communication-graph derivation."""
 
 import collections
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,11 +9,10 @@ import random
 import pytest
 
 from meshsim import topology
-from meshsim.config import parse_config
+from meshsim.config import ConfigError, ScenarioConfig, TopologySpec, parse_config
 from meshsim.topology import (
     INTERFERENCE_RANGE_M,
     TX_RANGE_M,
-    BuildError,
     Node,
     Topology,
     build_chain,
@@ -64,11 +64,11 @@ def test_chain_explicit_plan():
     topo = build_chain(3, 2, "3,6;6,9;9,3")
     assert shared_channels(topo, 0, 1)[0] == 6
     assert shared_channels(topo, 1, 2)[0] == 9
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         build_chain(3, 2, "1,6;6,1")             # wrong group count
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         build_chain(3, 1, "1;2;3")               # adjacent nodes share nothing
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         build_chain(3, 1, "orthogonal")          # named plans need two radios
 
 
@@ -110,7 +110,7 @@ def test_random_named_plan_always_shares_a_channel():
 
 def test_random_impossible_density_fails_with_diagnostic():
     # two single-radio nodes on disjoint channels can never form a link
-    with pytest.raises(BuildError) as exc:
+    with pytest.raises(ConfigError) as exc:
         build_random(2, seed=1, radios_per_node=1, channel_plan="1;6")
     assert "channel plan splits them into groups that share no channel" \
         in str(exc.value)
@@ -121,15 +121,15 @@ def test_random_impossible_density_fails_with_diagnostic():
     (3, "1;1;6"),
 ])
 def test_random_blames_a_channel_plan_that_splits_the_nodes(n, plan):
-    with pytest.raises(BuildError, match="channel plan splits them into groups "
-                                         "that share no channel"):
+    with pytest.raises(ConfigError, match="channel plan splits them into groups "
+                                          "that share no channel"):
         build_random(n, seed=1, radios_per_node=1, channel_plan=plan)
 
 
 def test_random_blames_density_when_the_channel_plan_connects():
     # 0 and 2 share no channel but both share one with 1, so the plan allows
     # a connected graph; seed 18 draws none, uniform or anchored
-    with pytest.raises(BuildError, match="density too low"):
+    with pytest.raises(ConfigError, match="density too low"):
         build_random(3, 18, radios_per_node=2, channel_plan="1,2;1,6;6,11")
 
 
@@ -161,7 +161,7 @@ def test_mesh8_paths_and_isolation():
     "radios_per_node = 1", "radios_per_node = 5", "channel_plan = overlapping",
     "channel_plan = " + ";".join(["1,6"] * 8)])
 def test_mesh8_rejects_keys_its_fixed_channels_ignore(keys):
-    with pytest.raises(BuildError, match="mesh8 has two fixed channels per node"):
+    with pytest.raises(ConfigError, match="mesh8 has two fixed channels per node"):
         build_topology(parse_config("topology = mesh8\n" + keys))
 
 
@@ -178,8 +178,23 @@ def test_flow_resolution():
     topo = build_topology(cfg)
     assert resolve_flows(cfg, topo) == ((1, 3), (2, 3))
     cfg = parse_config("topology = chain(4)\nflows = 1>9")
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         resolve_flows(cfg, build_topology(cfg))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Topology([Node(0, 0.0, 0.0, (1,))], gateway=5), "gateway 5 is not a node"),
+    (lambda: Topology([Node(0, 2000.0, 0.0, (1,))], gateway=0),
+     "node 0 at (2000.0, 0.0) outside 1500.0 x 800.0 area"),
+    (lambda: build_random(1, 1, 2, "orthogonal"), "random topology needs at least 2 nodes"),
+    (lambda: build_topology(dataclasses.replace(ScenarioConfig(),
+                                                topology=TopologySpec("ring", 3))),
+     "unknown topology kind 'ring'"),
+], ids=["gateway-not-a-node", "node-outside-area", "random-one-node", "unknown-kind"])
+def test_inputs_no_builder_passes_are_config_errors(build, message):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert exc.value.errors == [message]
 
 
 def brute_force_tables(nodes):
