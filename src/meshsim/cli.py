@@ -29,20 +29,14 @@ CSV_HEADER = ",".join(["scenario", "seed", "protocol",
 ROUTES_HEADER = "node,destination,next_hop,hop_count,rtt_cost_ms,expires_at"
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def _fmt_count(value: Optional[float]) -> str:
+def _cell(value: Optional[float], count: bool = False) -> str:
+    """One CSV cell: empty for None, a count as a whole number where it is
+    one (else %g), any other value to six decimals."""
     if value is None:
         return ""
-    if float(value).is_integer():
-        return str(int(value))
-    return f"{value:g}"
-
-
-def _cell(value: Optional[float], count: bool) -> str:
-    return _fmt_count(value) if count else _fmt(value)
+    if not count:
+        return f"{value:.6f}"
+    return str(int(value)) if float(value).is_integer() else f"{value:g}"
 
 
 def _result_cells(row: RunRow) -> List[str]:
@@ -119,7 +113,7 @@ def cmd_run(args, files: contextlib.ExitStack) -> int:
     if routes:
         _write_rows(routes, [ROUTES_HEADER] + [",".join([
             str(node_id), str(entry.destination), str(entry.next_hop),
-            str(entry.hop_count), _fmt(entry.rtt_cost), _fmt(entry.expires_at),
+            str(entry.hop_count), _cell(entry.rtt_cost), _cell(entry.expires_at),
         ]) for node_id, entry in rows[-1].result.route_rows])
     return 0
 
@@ -171,17 +165,13 @@ def _channel_matrix(name: str, cell) -> List[str]:
 
 def cmd_channel_table(args, files: contextlib.ExitStack) -> int:
     _, (out,) = _front_end(files, None, None, args.out)
-    decide_qos = lambda mode: (
-        lambda c1, c2: handle_rts_qos(c1, [c2], mode=mode).value)
-    decide_dt = lambda mode: (
-        lambda c1, c2: handle_rts_delay_tolerant(c1, [c2], mode=mode).value)
     lines = ["table,channel," + ",".join(str(c) for c in ALL_CHANNELS)]
     lines += _channel_matrix("class", lambda a, b: classify(a, b).value)
-    lines += _channel_matrix("factor", lambda a, b: f"{interference_factor(a, b):.6f}")
-    lines += _channel_matrix("qos_literal", decide_qos("literal"))
-    lines += _channel_matrix("qos_symmetric", decide_qos("symmetric"))
-    lines += _channel_matrix("dt_literal", decide_dt("literal"))
-    lines += _channel_matrix("dt_symmetric", decide_dt("symmetric"))
+    lines += _channel_matrix("factor", lambda a, b: _cell(interference_factor(a, b)))
+    for name, handler in (("qos", handle_rts_qos), ("dt", handle_rts_delay_tolerant)):
+        for mode in ("literal", "symmetric"):
+            lines += _channel_matrix(f"{name}_{mode}",
+                                     lambda a, b: handler(a, [b], mode=mode).value)
     _write_rows(out or sys.stdout, lines)
     return 0
 

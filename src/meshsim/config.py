@@ -26,8 +26,10 @@ VALID_TRAFFIC_CLASSES = ("qos", "delay_tolerant")
 VALID_PROTOCOLS = ("aodv_hop", "corciar", "both")
 NAMED_CHANNEL_PLANS = ("orthogonal", "overlapping", "pcl")
 
-_TOPOLOGY_RE = re.compile(r"^(chain|random)\((\d+)(?:\s*,\s*(\d+))?\)$|^mesh8$")
-_EXPLICIT_PLAN_RE = re.compile(r"^\d+(?:\s*,\s*\d+)*(?:\s*;\s*\d+(?:\s*,\s*\d+)*)*$")
+# ASCII numerals only: in a str pattern \d matches every script's digits.
+_TOPOLOGY_RE = re.compile(r"^(chain|random)\((\d+)(?:\s*,\s*(\d+))?\)$|^mesh8$", re.ASCII)
+_EXPLICIT_PLAN_RE = re.compile(r"^\d+(?:\s*,\s*\d+)*(?:\s*;\s*\d+(?:\s*,\s*\d+)*)*$",
+                               re.ASCII)
 
 
 class ConfigError(ValueError):
@@ -57,7 +59,7 @@ class TopologySpec:
 def integer(minimum=None, maximum=None):
     def parse(raw: str, key: str) -> int:
         try:
-            if re.match(r"^[+-]?\d+$", raw) is None:
+            if re.match(r"^[+-]?\d+$", raw, re.ASCII) is None:
                 raise ValueError
             value = int(raw)
         except ValueError:
@@ -74,6 +76,8 @@ def _number(unit: str = "", reject=None, requirement: str = ""):
     """A finite float; reject(value) true means the value breaks `requirement`."""
     def parse(raw: str, key: str) -> float:
         try:
+            if not raw.isascii() or "_" in raw:     # float() takes both
+                raise ValueError
             value = float(raw)
         except ValueError:
             raise ConfigError([f"{key} must be a number{unit}, got {raw!r}"]) from None
@@ -135,7 +139,7 @@ def _flows(raw: str, key: str) -> Tuple[Tuple[int, int], ...]:
     flows = []
     for part in raw.split(","):
         part = part.strip()
-        m = re.match(r"^(\d+)\s*>\s*(\d+)$", part)
+        m = re.match(r"^(\d+)\s*>\s*(\d+)$", part, re.ASCII)
         if not m:
             raise ConfigError([f"flow {part!r} must look like src>dst"])
         src, dst = int(m.group(1)), int(m.group(2))

@@ -61,9 +61,10 @@ class CorReport:
 
 
 def cor(after_throughput: float, before_throughput: float) -> Optional[float]:
-    """Restitution ratio: baseline ("after the drop") over re-routed throughput."""
+    """Restitution ratio: baseline ("after the drop") over re-routed throughput.
+    0.0 when neither run moved traffic; None when only the baseline did."""
     if before_throughput <= 0:
-        return None
+        return 0.0 if after_throughput <= 0 else None
     return after_throughput / before_throughput
 
 
@@ -81,9 +82,7 @@ def classify_collision(cor_value: float) -> CollisionClass:
 
 def make_cor_report(baseline_kbps: float, rerouted_kbps: float) -> CorReport:
     ratio = cor(baseline_kbps, rerouted_kbps)
-    if ratio is None and baseline_kbps <= 0:
-        ratio = 0.0   # nothing moved in either run: fully inelastic
-    # still None: only the baseline moved traffic, so rerouting lost all of it
+    # None: only the baseline moved traffic, so rerouting lost all of it
     return CorReport(
         cor=ratio,
         collision_class=(CollisionClass.REGRESSION if ratio is None

@@ -17,9 +17,11 @@ communication graph alone, so a rejected placement costs its draws and that
 graph, with no Node objects; the kept placement's Topology is handed that
 graph and builds only its hearing sets.
 
-Named channel plans are per-link cycles for chains and per-node cycles for
-random layouts; with two radios and a three-channel cycle every node pair
-shares at least one channel, so reachability reduces to geometry.
+A named channel plan is one rule: each node walks the plan's three-channel
+cycle, a chain node from its back link's channel (so its first two channels
+serve both its links), a random-layout node from its id.  With two radios
+every node pair then shares at least one channel, so reachability reduces to
+geometry.
 """
 
 from __future__ import annotations
@@ -118,19 +120,13 @@ def _connected(adjacency: Dict[int, Set[int]]) -> bool:
     return len(seen) == len(adjacency)
 
 
-def _cycle_for_plan(plan: str) -> Tuple[int, ...]:
-    return OVERLAPPING_CYCLE if plan == "overlapping" else ORTHOGONAL_CYCLE
-
-
-def _pad_channels(wanted: List[int], cycle: Tuple[int, ...], start: int, count: int) -> Tuple[int, ...]:
-    """The wanted channels, then the plan's cycle from start, then the lowest
-    channels of the band, each once, up to count."""
-    order = dict.fromkeys(wanted)
-    for ch in (*cycle[start:], *cycle[:start], *ALL_CHANNELS):
-        if len(order) >= count:
-            break
-        order.setdefault(ch)
-    return tuple(order)[:count]
+def _named_channels(plan: str, starts: Iterable[int], radios: int) -> List[Tuple[int, ...]]:
+    """For each start, the plan's cycle walked from that start, then the
+    lowest channels of the band, each once, up to radios."""
+    cycle = OVERLAPPING_CYCLE if plan == "overlapping" else ORTHOGONAL_CYCLE
+    walks = [tuple(dict.fromkeys((*cycle[k:], *cycle[:k], *ALL_CHANNELS)))[:radios]
+             for k in range(len(cycle))]
+    return [walks[start % len(cycle)] for start in starts]
 
 
 def _explicit_groups(plan: str, n: int, radios: int) -> List[Tuple[int, ...]]:
@@ -145,26 +141,17 @@ def _explicit_groups(plan: str, n: int, radios: int) -> List[Tuple[int, ...]]:
     return groups
 
 
-def _chain_channels(i: int, n: int, cycle: Tuple[int, ...], radios: int) -> Tuple[int, ...]:
-    wanted: List[int] = []
-    if i > 0:
-        wanted.append(cycle[(i - 1) % len(cycle)])       # link to the previous node
-    if i < n - 1:
-        forward = cycle[i % len(cycle)]                  # link to the next node
-        if forward not in wanted:
-            wanted.append(forward)
-    if len(wanted) > radios:
-        raise ConfigError(["named channel plans on a chain need radios_per_node >= 2"])
-    return _pad_channels(wanted, cycle, i % len(cycle), radios)
-
-
 def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
     if n < 2:
         raise ConfigError(["chain needs at least 2 nodes"])
     width = max(AREA_WIDTH_M, CHAIN_SPACING_M * (n - 1))
     if channel_plan in NAMED_CHANNEL_PLANS:
-        cycle = _cycle_for_plan(channel_plan)
-        channels = [_chain_channels(i, n, cycle, radios_per_node) for i in range(n)]
+        # node i's first two channels are its back and forward links'; an
+        # inner node needs both, an end node one
+        if radios_per_node < min(n - 1, 2):
+            raise ConfigError(["named channel plans on a chain need radios_per_node >= 2"])
+        channels = _named_channels(channel_plan, (max(i - 1, 0) for i in range(n)),
+                                   radios_per_node)
     else:
         channels = _explicit_groups(channel_plan, n, radios_per_node)
     nodes = [Node(i, CHAIN_SPACING_M * i, 0.0, channels[i]) for i in range(n)]
@@ -176,11 +163,6 @@ def build_chain(n: int, radios_per_node: int, channel_plan: str) -> Topology:
             raise ConfigError([f"chain link {i}-{i + 1} has no shared channel under "
                                f"this channel plan"])
     return topo
-
-
-def _random_node_channels(i: int, plan: str, radios: int) -> Tuple[int, ...]:
-    cycle = _cycle_for_plan(plan)
-    return _pad_channels([], cycle, i % len(cycle), radios)
 
 
 def _placed(points: List[Tuple[float, float]], channels: List[Tuple[int, ...]],
@@ -201,8 +183,7 @@ def build_random(n: int, seed: int, radios_per_node: int, channel_plan: str) -> 
         raise ConfigError(["random topology needs at least 2 nodes"])
     rng = random.Random(seed)
     if channel_plan in NAMED_CHANNEL_PLANS:
-        channels = [_random_node_channels(i, channel_plan, radios_per_node)
-                    for i in range(n)]
+        channels = _named_channels(channel_plan, range(n), radios_per_node)
     else:
         channels = _explicit_groups(channel_plan, n, radios_per_node)
     channel_sets = {i: set(c) for i, c in enumerate(channels)}

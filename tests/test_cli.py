@@ -143,6 +143,7 @@ NO_DIR = "{tmp}/missing/out: No such file or directory"
     (["sweep", "--hops", "1_0", "--seeds", "1"], "--hops must be an integer, got '1_0'"),
     (["sweep", "--nodes", "2_0", "--seeds", "1"], "--nodes must be an integer, got '2_0'"),
     (["sweep", "--hops", "2", "--seeds", "1_0"], "seed must be an integer, got '1_0'"),
+    (["sweep", "--hops", "٣", "--seeds", "1"], "--hops must be an integer, got '٣'"),
 ], ids=["run-negative-seed", "run-text-seed", "sweep-negative-seed",
         "sweep-negative-range", "repeated-hops", "repeated-nodes", "repeated-seeds",
         "run-two-configs", "sweep-zero-hops", "sweep-one-node", "sweep-text-hops",
@@ -150,7 +151,7 @@ NO_DIR = "{tmp}/missing/out: No such file or directory"
         "run-trace-no-dir", "run-routes-no-dir", "sweep-out-no-dir", "table-out-no-dir",
         "run-config-not-utf8", "run-out-is-trace", "run-routes-is-config",
         "sweep-config-not-utf8", "underscore-hops", "underscore-nodes",
-        "underscore-seeds"])
+        "underscore-seeds", "non-ascii-hops"])
 def test_command_line_values_checked_before_running(argv, message, tmp_path, capsys,
                                                     monkeypatch):
     def must_not_run(*args, **kwargs):
@@ -500,6 +501,16 @@ def test_sweep_runs_here_the_cells_of_a_worker_that_could_not_start(
     assert len(calls) == 2 and len(forks) == 1
     assert_reaped(forks)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == IDENTITY_CSV_SHA256
+
+
+def test_sweep_without_an_affinity_mask_runs_serially(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    forks = count_forks(monkeypatch)
+    assert experiment._cpu_count() == 1
+    base = ScenarioConfig(sim_time_s=2.0, protocol="aodv_hop")
+    rows, failures = sweep(base, "hops", [2], [1, 2])
+    assert forks == [] and failures == []
+    assert [(v, row.seed) for v, row in rows] == [(2, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("die, cause", [

@@ -224,6 +224,17 @@ ERROR_MESSAGES = [
     ("windwo = 2", "line 1: unknown key 'windwo'"),
     ("topology chain(3)  # no equals sign",
      "line 1: expected key = value, got 'topology chain(3)  # no equals sign'"),
+    # numerals are ASCII digits alone: no other script's digits, no full-width
+    # forms, no digit-group underscores
+    ("seed = ١٠", "line 1: seed must be an integer, got '١٠'"),
+    ("topology = chain(٣)", "line 1: topology must be chain(n), random(n[, seed]), "
+                               "or mesh8, got 'chain(٣)'"),
+    ("channel_plan = ١,6;6,11;11,1", "line 1: channel_plan must be one of "
+                                       "orthogonal/overlapping/pcl or an explicit "
+                                       "semicolon-separated per-node list like 1,6;6,11"),
+    ("flows = ٠>2", "line 1: flow '٠>2' must look like src>dst"),
+    ("sim_time_s = 1_0", "line 1: sim_time_s must be a number (seconds), got '1_0'"),
+    ("jammer_x = １", "line 1: jammer_x must be a number (meters), got '１'"),
 ]
 
 

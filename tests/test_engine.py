@@ -100,6 +100,27 @@ def test_conservation_partition_under_stress():
     assert st.packets_sent > 0
 
 
+@pytest.mark.parametrize("counter, message", [
+    ("copies_injected", "flow 0 copy conservation broken"),
+    ("packets_sent", "flow 0 packet conservation broken"),
+])
+def test_broken_conservation_faults(counter, message):
+    sim = Sim(chain_cfg(3), RouteMetric.HOP_COUNT, "x")
+    sim.run()
+    flow = sim.flows[0]
+    owner = flow if counter == "copies_injected" else flow.stats
+    setattr(owner, counter, getattr(owner, counter) + 1)
+    with pytest.raises(SimulationFault, match=message):
+        sim._check_conservation()
+
+
+def test_event_before_the_clock_faults():
+    sim = Sim(chain_cfg(3, sim_time_s=0.0), RouteMetric.HOP_COUNT, "x")
+    heapq.heappush(sim._heap, (-1.0, -1, "TimerFire,0", lambda: None, ()))
+    with pytest.raises(SimulationFault, match="event clock moved backwards"):
+        sim.run()
+
+
 def test_transport_gives_up_under_an_always_on_jammer(monkeypatch):
     # the jammer never pauses and covers channel 6, the only channel the last
     # hop shares: no copy gets past node 1, copies that reach node 1 after its

@@ -61,6 +61,7 @@ def test_excluded_row_really_is_inconsistent():
 def test_cor_edge_cases():
     assert cor(0.0, 100.0) == 0.0
     assert cor(100.0, 0.0) is None
+    assert cor(0.0, 0.0) == 0.0       # neither run moved traffic
 
 
 def test_classification_boundaries():

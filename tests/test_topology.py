@@ -88,6 +88,44 @@ def test_named_plans_fill_extra_radios_from_the_band():
         (1, 6, 11, 2), (1, 6, 11, 2), (6, 11, 1, 2), (11, 1, 6, 2)]
 
 
+def link_rule_channels(plan, i, links, radios):
+    """A named plan's channels for node i, by the link-by-link rule: the
+    channel of each of its chain links (back, then forward), then the plan's
+    cycle from position i, then the band's lowest channels, each once, up to
+    radios.  A random-layout node has no links."""
+    cycle = (1, 3, 5) if plan == "overlapping" else (1, 6, 11)
+    order = [cycle[link % 3] for link in links]
+    order += [cycle[(i + k) % 3] for k in range(3)] + list(range(1, 12))
+    return tuple(dict.fromkeys(order))[:radios]
+
+
+@pytest.mark.parametrize("plan", ["orthogonal", "overlapping", "pcl"])
+def test_named_plans_match_the_link_by_link_rule(plan):
+    for n in range(2, 21):
+        for radios in range(1, 12):
+            links = [[link for link in (i - 1, i) if 0 <= link < n - 1] for i in range(n)]
+            if any(len({link % 3 for link in node}) > radios for node in links):
+                with pytest.raises(ConfigError) as exc:
+                    build_chain(n, radios, plan)
+                assert exc.value.errors == [
+                    "named channel plans on a chain need radios_per_node >= 2"]
+            else:
+                assert [node.channels for node in build_chain(n, radios, plan).nodes] == [
+                    link_rule_channels(plan, i, links[i], radios) for i in range(n)]
+            if radios == 1:     # one cycle channel per node: no pair shares one
+                with pytest.raises(ConfigError, match="channel plan splits them"):
+                    build_random(n, 1, radios, plan)
+            else:
+                assert [node.channels for node in build_random(n, 1, radios, plan).nodes] \
+                    == [link_rule_channels(plan, i, [], radios) for i in range(n)]
+
+
+def test_two_node_chain_builds_on_one_radio():
+    topo = build_chain(2, 1, "orthogonal")
+    assert [n.channels for n in topo.nodes] == [(1,), (1,)]
+    assert topo.comm_adjacency[0] == {1}
+
+
 def test_random_topology_deterministic_and_connected():
     a = build_random(20, seed=7, radios_per_node=2, channel_plan="orthogonal")
     b = build_random(20, seed=7, radios_per_node=2, channel_plan="orthogonal")
