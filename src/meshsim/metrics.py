@@ -8,14 +8,21 @@ reroute changed nothing (perfectly elastic), 0 means the baseline moved no
 traffic at all, and above 1 means re-routing lost throughput (a regression).
 A re-routed run that moved nothing while the baseline moved traffic has no
 finite ratio: it is a regression with no cor.
+
+`FlowStats.e2e_delays` and `FlowStats.rtt_samples` are `array("d")`
+series, 8 bytes a sample, appended in the order the samples are taken: a
+sweep's rows keep every sample until their CSV is written, and a forked
+worker pickles each series as one block of doubles.  Compare them with
+`list(...)`, not with `== [...]`, since an array never equals a list.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass
@@ -23,8 +30,8 @@ class FlowStats:
     packets_sent: int = 0
     packets_received_at_gateway: int = 0
     bytes_received: int = 0
-    e2e_delays: List[float] = field(default_factory=list)     # ms
-    rtt_samples: List[float] = field(default_factory=list)    # ms
+    e2e_delays: array = field(default_factory=lambda: array("d"))    # ms
+    rtt_samples: array = field(default_factory=lambda: array("d"))   # ms
     # DATA copies a hop could not queue: no route, no channel shared with
     # the next hop, or no room in the queue
     drops_queue: int = 0

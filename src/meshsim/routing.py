@@ -169,8 +169,12 @@ def aodv_discover(adjacency: Dict[int, Iterable[int]], src: int, dst: int,
     return path
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
+    """One installed route.  Slotted, like `NeighborRecord`: every run keeps
+    its final tables as `SimResult.route_rows`, so an entry has no
+    `__dict__` and `vars()` does not apply to it."""
+
     destination: int
     next_hop: int
     hop_count: int

@@ -9,6 +9,8 @@ import os
 import pickle
 import re
 import signal
+import statistics
+from array import array
 from pathlib import Path
 
 import pytest
@@ -474,6 +476,13 @@ def test_forked_sweep_is_identical_to_serial(tmp_path, monkeypatch):
     direct = [(hops, row) for hops in (2, 3) for seed in range(1, 5)
               for row in experiment.execute(config_for_axis(base, "hops", hops, seed))]
     assert forked_rows == direct
+    # a worker's rows come back with their samples packed, as a single run keeps them
+    for _, row in forked_rows + direct:
+        stats = row.result.flow_stats
+        assert all(type(series) is array and series.typecode == "d"
+                   for st in stats for series in (st.e2e_delays, st.rtt_samples))
+        rtts = [r for st in stats for r in st.rtt_samples]
+        assert rtts and row.result.summary.mean_rtt_ms == statistics.fmean(rtts)
 
 
 @pytest.mark.parametrize("call, error", [

@@ -891,18 +891,32 @@ ORACLE_CASES = (
 )
 
 
-def test_medium_matches_brute_force_scan(monkeypatch):
-    monkeypatch.setattr(engine, "Medium", OracleMedium)
-    t0 = time.monotonic()
-    sims = {}
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """Every ORACLE_CASES run under the brute-force medium, and the wall
+    seconds they took together."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "Medium", OracleMedium)
+        t0 = time.monotonic()
+        sims = {}
+        for name, cfg in ORACLE_CASES:
+            sims[name] = Sim(cfg, RouteMetric.HOP_COUNT, "x")
+            sims[name].run()
+        return sims, time.monotonic() - t0
+
+
+def test_medium_matches_brute_force_scan(oracle_runs):
+    sims, _ = oracle_runs
     for name, cfg in ORACLE_CASES:
-        sim = sims[name] = Sim(cfg, RouteMetric.HOP_COUNT, "x")
-        sim.run()
-        seen = dict(sim.medium.answers)
+        seen = dict(sims[name].medium.answers)
         assert (seen.pop("jammer") > 0) is (cfg.jammer_channel is not None), name
         assert min(seen.values()) > 0, (name, seen)
-    assert time.monotonic() - t0 < 10.0
     assert sims["chain5-pcl"].counters["pcl_retunes"] > 0
+
+
+def test_brute_force_scan_runs_in_under_ten_seconds(oracle_runs):
+    # a speed bound of its own, so a slow host never fails the oracle above
+    assert oracle_runs[1] < 10.0
 
 
 # times on a binary grid add up exactly, so frame ends often equal the
@@ -957,10 +971,19 @@ def drive_medium(cfg, seed, steps=400):
     return medium.answers
 
 
-def test_medium_matches_brute_force_on_random_transmissions():
+@pytest.fixture(scope="module")
+def direct_runs():
+    """drive_medium's answer counts for every DIRECT_CASES config, and the
+    wall seconds the drives took together."""
     t0 = time.monotonic()
+    answers = {name: drive_medium(cfg, seed=len(name)) for name, cfg in DIRECT_CASES}
+    return answers, time.monotonic() - t0
+
+
+def test_medium_matches_brute_force_on_random_transmissions(direct_runs):
+    answers, _ = direct_runs
     for name, cfg in DIRECT_CASES:
-        seen = drive_medium(cfg, seed=len(name))
+        seen = dict(answers[name])
         jam = seen.pop("jammer")
         assert sum(seen.values()) == 2400, (name, seen)
         assert (jam > 0) is (cfg.jammer_channel is not None), (name, jam)
@@ -969,7 +992,11 @@ def test_medium_matches_brute_force_on_random_transmissions():
             assert seen["busy"] == seen["corrupt"] == 0, (name, seen)
         else:
             assert min(seen.values()) > 0, (name, seen)
-    assert time.monotonic() - t0 < 1.0
+
+
+def test_random_transmission_drives_run_in_under_one_second(direct_runs):
+    # a speed bound of its own, so a slow host never fails the oracle above
+    assert direct_runs[1] < 1.0
 
 
 class OrderedListMedium(Medium):

@@ -1,5 +1,7 @@
 """Throughput, delivery, restitution ratio, and aggregation checks."""
 
+from array import array
+
 import pytest
 
 from meshsim.metrics import (
@@ -131,16 +133,26 @@ def test_throughput_arithmetic():
 
 def test_summarize_aggregates_flows():
     a = FlowStats(packets_sent=10, packets_received_at_gateway=8,
-                  bytes_received=8000, e2e_delays=[10.0, 20.0, 30.0],
-                  rtt_samples=[40.0, 60.0])
+                  bytes_received=8000, e2e_delays=array("d", [10.0, 20.0, 30.0]),
+                  rtt_samples=array("d", [40.0, 60.0]))
     b = FlowStats(packets_sent=10, packets_received_at_gateway=10,
-                  bytes_received=10000, e2e_delays=[20.0], rtt_samples=[])
+                  bytes_received=10000, e2e_delays=array("d", [20.0]))
     summary = summarize([a, b], duration=10.0, protocol_label="aodv_hop")
     assert summary.throughput_kbps == pytest.approx(18000 * 8 / 10 / 1000)
     assert summary.delivery_ratio == pytest.approx(0.9)
     assert summary.mean_e2e_delay_ms == pytest.approx(20.0)
     assert summary.mean_rtt_ms == pytest.approx(50.0)
     assert summary.protocol_label == "aodv_hop"
+
+
+def test_flow_samples_are_packed_doubles():
+    a, b = FlowStats(), FlowStats()
+    for series in (a.e2e_delays, a.rtt_samples):
+        assert isinstance(series, array) and series.typecode == "d"
+        assert series.itemsize == 8 and len(series) == 0
+    a.rtt_samples.append(2.5)
+    assert list(a.rtt_samples) == [2.5]
+    assert list(b.rtt_samples) == []        # each FlowStats has its own series
 
 
 def test_summarize_empty_run():

@@ -1,6 +1,7 @@
 """EWMA estimation, cumulative RTT, discovery."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -261,6 +262,16 @@ def test_route_entries_expire():
     assert table.lookup(0, now=9.99).next_hop == 3
     assert table.lookup(0, now=10.0) is None       # expired entries never forward
     assert table.lookup(0, now=5.0) is None        # and are purged outright
+
+
+def test_route_entry_is_slotted():
+    entry = RouteEntry(destination=0, next_hop=3, hop_count=2, rtt_cost=25.0,
+                       expires_at=10.0)
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(TypeError):
+        vars(entry)
+    copy = pickle.loads(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
+    assert copy == entry and copy is not entry
 
 
 def test_route_entry_validation():
