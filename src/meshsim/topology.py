@@ -13,9 +13,13 @@ on demand.  Each table maps a node id to a set of node ids:
 One sweep over the nodes in x order, `_within`, builds both tables: at
 TX_RANGE_M with the shared-channel test, and at INTERFERENCE_RANGE_M.
 `build_random` accepts or rejects each uniform placement on its
-communication graph alone, so a rejected placement costs its draws and that
-graph, with no Node objects; the kept placement's Topology is handed that
-graph and builds only its hearing sets.
+communication graph alone, so a rejected placement costs its draws and at
+most that graph, with no Node objects; the kept placement's Topology is handed
+that graph and builds only its hearing sets.  The sweep rejects a placement early,
+before the rest of its graph is built, at the first node it passes that has
+no link, or at the first point in x order that no link crosses; either proves
+the graph disconnected, so the draws, the verdicts and the kept placement are
+those of a full sweep and a BFS.
 
 A named channel plan is one rule: each node walks the plan's three-channel
 cycle, a chain node from its back link's channel (so its first two channels
@@ -88,12 +92,19 @@ class Topology:
 
 
 def _within(by_x: List[Tuple[float, float, int]], ids: Iterable[int], reach: float,
-            channel_sets: Optional[Dict[int, Set[int]]] = None) -> Dict[int, Set[int]]:
+            channel_sets: Optional[Dict[int, Set[int]]] = None,
+            stop_when_split: bool = False) -> Optional[Dict[int, Set[int]]]:
     """The others within reach of each node, keyed by ids in id order; by_x
     holds (x, y, node_id) in x order.  Given channel_sets, only nodes that
-    share a channel count."""
+    share a channel count.  With stop_when_split, None as soon as the sweep
+    proves the graph of two or more nodes disconnected: a node with no link,
+    or no link from the nodes swept so far to the rest."""
     near: Dict[int, Set[int]] = {u: set() for u in ids}
+    crossing = 0    # links from the nodes swept so far to the rest: none,
+                    # with nodes left, cuts the graph in two
     for k, (ax, ay, u) in enumerate(by_x):
+        linked = near[u]
+        back = len(linked)
         for bx, by, v in by_x[k + 1:]:
             dx = bx - ax
             if dx > reach:      # so is every later node: hypot is never below |dx|
@@ -102,8 +113,14 @@ def _within(by_x: List[Tuple[float, float, int]], ids: Iterable[int], reach: flo
             if -reach <= dy <= reach and math.hypot(dx, dy) <= reach and (
                     channel_sets is None
                     or not channel_sets[u].isdisjoint(channel_sets[v])):
-                near[u].add(v)
+                linked.add(v)
                 near[v].add(u)
+        # u's set is complete here: the earlier nodes' scans found its links
+        # back, its own scan those forward
+        if stop_when_split:
+            crossing += len(linked) - 2 * back
+            if not linked or (crossing == 0 and k < len(by_x) - 1):
+                return None
     return near
 
 
@@ -169,10 +186,15 @@ def _placed(points: List[Tuple[float, float]], channels: List[Tuple[int, ...]],
             channel_sets: Dict[int, Set[int]]) -> Optional[Topology]:
     """The topology of a placement whose communication graph is connected,
     else None.  A placement is judged on that graph alone; the kept one's
-    Topology is handed the graph, and nodes are made only for it."""
+    Topology is handed the graph, and nodes are made only for it.  The sweep
+    stops at the first node with no link, or at the first point in x order
+    that no link crosses, and the placement is rejected there, with no BFS;
+    the verdict, and so every later draw and the kept placement, is the one
+    the whole graph gives.  Called with two or more points."""
     by_x = sorted((x, y, i) for i, (x, y) in enumerate(points))
-    adjacency = _within(by_x, channel_sets, TX_RANGE_M, channel_sets)
-    if not _connected(adjacency):
+    adjacency = _within(by_x, channel_sets, TX_RANGE_M, channel_sets,
+                        stop_when_split=True)
+    if adjacency is None or not _connected(adjacency):
         return None
     return Topology([Node(i, x, y, channels[i]) for i, (x, y) in enumerate(points)],
                     gateway=0, comm_adjacency=adjacency)

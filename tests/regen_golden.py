@@ -14,7 +14,9 @@ for a cell only one side has).
 Each cell has one line per phase, `<cell> trace=<sha256 of the phase's trace
 lines> <csv row>` with `-` for a phase that emits no row, then one line
 `<cell> routes=<sha256 of the --dump-routes file>`: route costs and hop
-counts reach no other output.
+counts reach no other output.  A sweep cell has one line, `<cell>
+csv=<sha256 of the sweep's CSV>`: its rows come back from forked workers as
+pickled results, so the line also locks that round trip.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ CELLS = (
 )
 
 
+# (cell name, base scenario text, sweep arguments).  With two or more CPUs in
+# the affinity mask the sweep forks its workers; with one it runs serially
+# and gives the same CSV.
+SWEEP_CELLS = (
+    ("sweep-chain-hops2-3", "topology = chain(3)\nsim_time_s = 4\n",
+     ["--hops", "2,3", "--seeds", "1,2"]),
+)
+
+
 def cell_lines(name: str, text: str, work_dir: Path):
     """The golden lines of one cell, from `meshsim run`."""
     cfg, out, trace, routes = (work_dir / f"{name}.{ext}"
@@ -103,10 +114,21 @@ def cell_lines(name: str, text: str, work_dir: Path):
         + [f"{name} routes={routes_hash}"]
 
 
+def sweep_line(name: str, text: str, args, work_dir: Path) -> str:
+    """The golden line of one sweep cell, from `meshsim sweep`."""
+    cfg, out = work_dir / f"{name}.cfg", work_dir / f"{name}.csv"
+    cfg.write_text(text, encoding="utf-8")
+    status = cli.main(["sweep", "--config", str(cfg), "--out", str(out), *args])
+    if status != 0:
+        raise RuntimeError(f"cell {name} exited {status}")
+    return f"{name} csv={hashlib.sha256(out.read_bytes()).hexdigest()}"
+
+
 def golden_lines():
     with tempfile.TemporaryDirectory() as tmp:
         return [line for name, text in CELLS
-                for line in cell_lines(name, text, Path(tmp))]
+                for line in cell_lines(name, text, Path(tmp))] \
+            + [sweep_line(name, text, args, Path(tmp)) for name, text, args in SWEEP_CELLS]
 
 
 def lines_by_cell(lines):

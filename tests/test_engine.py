@@ -114,6 +114,20 @@ def test_broken_conservation_faults(counter, message):
         sim._check_conservation()
 
 
+def test_a_data_route_miss_counts_as_a_queue_drop():
+    # drops_queue counts every DATA copy a hop could not queue, a route miss
+    # included, not only those a full queue turned away
+    sim = Sim(chain_cfg(3, sim_time_s=0.0), RouteMetric.HOP_COUNT, "x")
+    flow = sim.flows[0]
+    sim._send(flow, flow.src, None, FrameKind.DATA, 0, 0, 0.0, 1000)
+    assert flow.stats.drops_queue == 1
+    assert sim.counters["route_misses"] == 1
+    # a transport ACK that misses its route is no data drop
+    sim._send(flow, flow.dst, None, FrameKind.ACK, 0, 1, 0.0, 40)
+    assert flow.stats.drops_queue == 1
+    assert sim.counters["route_misses"] == 2
+
+
 def test_event_before_the_clock_faults():
     sim = Sim(chain_cfg(3, sim_time_s=0.0), RouteMetric.HOP_COUNT, "x")
     heapq.heappush(sim._heap, (-1.0, -1, "TimerFire,0", lambda: None, ()))

@@ -309,9 +309,9 @@ class BuildSpy:
         real_within = topology._within
         real_node = topology.Node
 
-        def within(by_x, ids, reach, *rest):
+        def within(by_x, ids, reach, *rest, **kwargs):
             self.passes[reach] += 1
-            return real_within(by_x, ids, reach, *rest)
+            return real_within(by_x, ids, reach, *rest, **kwargs)
 
         def node(*args, **kwargs):
             self.nodes_made += 1
@@ -335,6 +335,108 @@ def test_rejected_placements_build_no_interference_lists(monkeypatch, n, seed, p
     assert spy.passes == {TX_RANGE_M: placements, INTERFERENCE_RANGE_M: 1}
     assert spy.nodes_made == n
     assert_tables_match_brute_force(topo)
+
+
+def full_verdict(points, channel_sets):
+    """Whether a placement's communication graph is connected, from a whole
+    sweep and a BFS."""
+    by_x = sorted((x, y, i) for i, (x, y) in enumerate(points))
+    return topology._connected(topology._within(by_x, channel_sets, TX_RANGE_M,
+                                                channel_sets))
+
+
+class VerdictSpy:
+    """Checks every placement's verdict against full_verdict, and counts the
+    placements and those the sweep rejected early."""
+
+    def __init__(self, monkeypatch):
+        self.placements = 0
+        self.early = 0
+        real_within = topology._within
+        real_placed = topology._placed
+
+        def within(*args, **kwargs):
+            near = real_within(*args, **kwargs)
+            self.early += near is None
+            return near
+
+        def placed(points, channels, channel_sets):
+            topo = real_placed(points, channels, channel_sets)
+            self.placements += 1
+            assert (topo is not None) == full_verdict(points, channel_sets)
+            return topo
+
+        monkeypatch.setattr(topology, "_within", within)
+        monkeypatch.setattr(topology, "_placed", placed)
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+@pytest.mark.parametrize("radios", [1, 2])
+def test_early_verdict_matches_a_full_sweep(monkeypatch, n, radios):
+    spy = VerdictSpy(monkeypatch)
+    for seed in range(1, 31):
+        try:
+            build_random(n, seed, radios, "orthogonal")
+        except ConfigError:
+            pass        # one radio splits the nodes over three channels
+    assert spy.early > 0 and spy.placements > spy.early
+
+
+def test_a_node_sharing_no_channel_rejects_every_placement_early(monkeypatch):
+    spy = VerdictSpy(monkeypatch)
+    with pytest.raises(ConfigError, match="channel plan splits them"):
+        build_random(12, 1, 1, ";".join(["1"] * 11 + ["6"]))
+    # 100 uniform placements and the anchored one; node 11 links to none
+    assert spy.placements == spy.early == 101
+
+
+class PairVisitSpy:
+    """Counts the pairs the communication-graph sweeps visit (each node a
+    scan looks at, the one that ends it included) and the BFS runs."""
+
+    def __init__(self, monkeypatch):
+        self.visits = 0
+        self.bfs = 0
+        spy = self
+        real_within = topology._within
+        real_connected = topology._connected
+
+        class Counted(list):
+            def __getitem__(self, key):
+                for item in list.__getitem__(self, key):
+                    spy.visits += 1
+                    yield item
+
+        def within(by_x, *rest, **kwargs):
+            return real_within(Counted(by_x), *rest, **kwargs)
+
+        def connected(adjacency):
+            self.bfs += 1
+            return real_connected(adjacency)
+
+        monkeypatch.setattr(topology, "_within", within)
+        monkeypatch.setattr(topology, "_connected", connected)
+
+
+@pytest.mark.parametrize("points, visits, full_visits", [
+    # node 2 hears nothing, though link 1-3 passes over it in x: the sweep
+    # stops once it has scanned node 2
+    ([(0.0, 0.0), (200.0, 0.0), (300.0, 700.0), (400.0, 0.0), (600.0, 0.0),
+      (800.0, 0.0), (1000.0, 0.0), (1200.0, 0.0)], 7, 14),
+    # two groups 500 m apart: no link crosses the gap, so the sweep stops at
+    # node 1, the last before it
+    ([(0.0, 0.0), (100.0, 0.0), (600.0, 0.0), (700.0, 0.0), (800.0, 0.0),
+      (900.0, 0.0)], 3, 9),
+])
+def test_sweep_stops_where_the_placement_splits(monkeypatch, points, visits, full_visits):
+    channels = [(1, 6)] * len(points)
+    channel_sets = {i: set(c) for i, c in enumerate(channels)}
+    spy = PairVisitSpy(monkeypatch)
+    assert topology._placed(points, channels, channel_sets) is None
+    assert (spy.visits, spy.bfs) == (visits, 0)
+    spy.visits = 0
+    assert not full_verdict(points, channel_sets)
+    assert spy.visits == full_visits
 
 
 def placement_sha256(topo):
