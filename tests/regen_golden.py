@@ -1,5 +1,6 @@
 """Golden lock: the trace hash and CSV row of every phase of a small
-reference matrix, run through the command line.
+reference matrix, run through the command line by `cellrun.run_cell`, the
+one way tests run a cell or a variant of one.
 
     python3 tests/regen_golden.py           # rewrites tests/data/golden_runs.txt
     python3 tests/regen_golden.py --check   # compares only; exit 1 on a change
@@ -32,6 +33,7 @@ GOLDEN_PATH = TESTS_DIR / "data" / "golden_runs.txt"
 if __name__ == "__main__":
     sys.path.insert(0, str(TESTS_DIR.parent / "src"))
 
+from cellrun import run_cell  # noqa: E402
 from meshsim import cli  # noqa: E402
 
 # (cell name, scenario text).  Short runs keep the whole matrix near 10 s
@@ -89,46 +91,35 @@ SWEEP_CELLS = (
 )
 
 
-def cell_lines(name: str, text: str, work_dir: Path):
-    """The golden lines of one cell, from `meshsim run`."""
-    cfg, out, trace, routes = (work_dir / f"{name}.{ext}"
-                               for ext in ("cfg", "csv", "trace", "routes"))
-    cfg.write_text(text, encoding="utf-8")
-    status = cli.main(["run", str(cfg), "--out", str(out), "--trace", str(trace),
-                       "--dump-routes", str(routes)])
-    if status != 0:
-        raise RuntimeError(f"cell {name} exited {status}")
-    hashes, phase = [], hashlib.sha256()
-    for line in trace.read_text(encoding="utf-8").splitlines(keepends=True):
-        phase.update(line.encode())
-        if line.split()[1] == "SimEnd":
-            hashes.append(phase.hexdigest())
-            phase = hashlib.sha256()
-    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+def phases(trace):
+    """A run's trace lines split into its phases, each ending at `SimEnd`."""
+    ends = [i + 1 for i, line in enumerate(trace) if line.split()[1] == "SimEnd"]
+    return [trace[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def cell_lines(name: str, run):
+    """The golden lines of one cell from its `run_cell` run."""
+    hashes = [hashlib.sha256("".join(phase).encode()).hexdigest()
+              for phase in phases(run.trace)]
+    rows = run.csv[1:]
     if not 0 < len(rows) <= len(hashes):
         raise RuntimeError(f"cell {name}: {len(rows)} rows but {len(hashes)} phases")
     # `protocol = corciar` emits no row for its hop-count measurement pass
     rows = ["-"] * (len(hashes) - len(rows)) + rows
-    routes_hash = hashlib.sha256(routes.read_bytes()).hexdigest()
+    routes_hash = hashlib.sha256(run.routes).hexdigest()
     return [f"{name} trace={h} {row}" for h, row in zip(hashes, rows)] \
         + [f"{name} routes={routes_hash}"]
 
 
-def sweep_line(name: str, text: str, args, work_dir: Path) -> str:
+def sweep_line(name: str, text: str, args) -> str:
     """The golden line of one sweep cell, from `meshsim sweep`."""
-    cfg, out = work_dir / f"{name}.cfg", work_dir / f"{name}.csv"
-    cfg.write_text(text, encoding="utf-8")
-    status = cli.main(["sweep", "--config", str(cfg), "--out", str(out), *args])
-    if status != 0:
-        raise RuntimeError(f"cell {name} exited {status}")
-    return f"{name} csv={hashlib.sha256(out.read_bytes()).hexdigest()}"
-
-
-def golden_lines():
     with tempfile.TemporaryDirectory() as tmp:
-        return [line for name, text in CELLS
-                for line in cell_lines(name, text, Path(tmp))] \
-            + [sweep_line(name, text, args, Path(tmp)) for name, text, args in SWEEP_CELLS]
+        cfg, out = Path(tmp) / "cfg", Path(tmp) / "csv"
+        cfg.write_text(text, encoding="utf-8")
+        status = cli.main(["sweep", "--config", str(cfg), "--out", str(out), *args])
+        if status != 0:
+            raise RuntimeError(f"cell {name} exited {status}")
+        return f"{name} csv={hashlib.sha256(out.read_bytes()).hexdigest()}"
 
 
 def lines_by_cell(lines):
@@ -172,7 +163,8 @@ def main() -> int:
     check = "--check" in sys.argv[1:]
     before = lines_by_cell(GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
                            if GOLDEN_PATH.exists() else [])
-    lines = golden_lines()
+    lines = [line for name, text in CELLS for line in cell_lines(name, run_cell(text))] \
+        + [sweep_line(*cell) for cell in SWEEP_CELLS]
     after = lines_by_cell(lines)
     if not check:
         GOLDEN_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")

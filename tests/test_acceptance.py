@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import meshsim
-from meshsim import cli
 from meshsim.channel import SeparationClass, classify, interference_factor
 from meshsim.config import parse_config
 from meshsim.engine import Sim
@@ -27,6 +26,7 @@ from meshsim.mac import (Frame, FrameKind, RtsDecision, handle_rts_qos,
 from meshsim.metrics import cor
 from meshsim.routing import RouteMetric, RttEstimator
 
+from cellrun import run_cell
 from test_engine import chain_cfg, mesh8_cfg, next_hops
 from test_metrics import EXCLUDED_ROW, REFERENCE_RATIOS
 
@@ -232,15 +232,10 @@ def test_random_sweep_trends(full_mode):
     print(line)
 
 
-def test_determinism_and_conservation(tmp_path):
-    cfg_path = tmp_path / "scenario.cfg"
-    cfg_path.write_text("topology = chain(3)\nsim_time_s = 4\nseed = 5\n",
-                        encoding="utf-8")
-    out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert cli.main(["run", str(cfg_path), "--out", out_a]) == 0
-    assert cli.main(["run", str(cfg_path), "--out", out_b]) == 0
-    csv_a = (tmp_path / "a.csv").read_bytes()
-    assert csv_a == (tmp_path / "b.csv").read_bytes() and csv_a
+def test_determinism_and_conservation():
+    text = "topology = chain(3)\nsim_time_s = 4\nseed = 5\n"
+    csv_a = run_cell(text).csv
+    assert csv_a == run_cell(text).csv and csv_a
 
     first = corciar_run(mesh8_cfg(3))
     second = corciar_run(mesh8_cfg(3))

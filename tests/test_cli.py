@@ -21,6 +21,8 @@ from meshsim.engine import TRACE_LINE, Sim
 from meshsim.experiment import config_for_axis, median_cells, sweep
 from meshsim.mac import SimulationFault
 
+from cellrun import run_cell
+
 FAST_CFG = """
 topology = chain(3)
 sim_time_s = 4.0
@@ -245,17 +247,11 @@ def test_runtime_fault_exits_two(tmp_path, capsys, monkeypatch):
     assert "runtime fault" in capsys.readouterr().err
 
 
-def test_run_writes_out_trace_and_routes(tmp_path):
-    path = write_cfg(tmp_path, FAST_CFG)
-    out = tmp_path / "rows.csv"
-    trace = tmp_path / "events.log"
-    routes = tmp_path / "routes.csv"
-    assert cli.main(["run", path, "--out", str(out), "--trace", str(trace),
-                     "--dump-routes", str(routes)]) == 0
-    assert out.read_text().startswith(cli.CSV_HEADER)
-    tr = trace.read_text().splitlines()
-    assert tr and len(tr[0].split()) == 3
-    rt = routes.read_text().splitlines()
+def test_run_writes_out_trace_and_routes():
+    run = run_cell(FAST_CFG)        # exits 0 with --out, --trace and --dump-routes
+    assert run.csv[0] == cli.CSV_HEADER
+    assert run.trace and len(run.trace[0].split()) == 3
+    rt = run.routes.decode().splitlines()
     assert rt[0] == cli.ROUTES_HEADER
     by_key = {(int(r.split(",")[0]), int(r.split(",")[1])): r.split(",")
               for r in rt[1:]}

@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from meshsim import cli, engine, experiment
+from meshsim import cli, engine
 from meshsim.channel import interference_factor
 from meshsim.config import ScenarioConfig, TopologySpec, parse_config
 from meshsim.engine import BEACON_INTERVAL_S, FLOW_START_S, TRACE_LINE, Exchange, Sim
@@ -24,7 +24,8 @@ from meshsim.medium import Jammer, Medium
 from meshsim.metrics import CollisionClass
 from meshsim.routing import ROUTE_LIFETIME, RouteMetric, RouteTable
 from meshsim.topology import INTERFERENCE_RANGE_M, build_topology
-from regen_golden import CELLS
+from cellrun import run_cell
+from regen_golden import CELLS, phases
 
 
 def chain_cfg(n, **kw):
@@ -339,27 +340,20 @@ def test_access_attempt_on_a_busy_or_empty_radio_faults():
     assert not sim._heap
 
 
-class TraceLines:
-    """A trace file that keeps each written line."""
-
-    def __init__(self):
-        self.lines = []
-
-    def write(self, line):
-        self.lines.append(line)
-
-
 class EagerTimeoutSim(Sim):
     """The engine as it was before timeouts armed only on failure: every
     handshake timeout enters the heap when its wait begins, under the same
     reserved key, and one whose handshake moved on dispatches as a no-op.
-    Records the trace line index of each such no-op, read from the
-    TraceLines it is handed."""
+    Records the index of each such no-op's line in this phase's trace."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.trace_lines = kwargs["trace_file"].lines
-        self.noop_lines = []
+        self.noop_lines, self.emitted, emit = [], 0, self._emit
+
+        def counted_emit(line):
+            self.emitted += 1
+            emit(line)
+        self._emit = counted_emit
 
     def _push_timeout(self, radio):
         ex = radio.exchange
@@ -382,99 +376,39 @@ class EagerTimeoutSim(Sim):
 
     def _exchange_timeout(self, radio, ex, phase):
         if radio.exchange is not ex or ex.state != phase:
-            self.noop_lines.append(len(self.trace_lines) - 1)
+            self.noop_lines.append(self.emitted - 1)
             return
         super()._exchange_timeout(radio, ex, phase)
 
 
-ARRIVAL_CAUSES = {"_rts_arrival": "RTS corrupted", "_cts_arrival": "CTS corrupted",
-                  "_data_arrival": "DATA corrupted", "_mac_ack_arrival": "ACK corrupted"}
-
-
-def arm_cause(sim, caller):
-    """Why the handshake whose timeout is being armed from frame `caller`
-    failed, read from that frame's locals and the Sim's state."""
-    name, local = caller.f_code.co_name, caller.f_locals
-    if name == "_try_access":
-        return "no peer radio"
-    if name == "_receive":
-        return ARRIVAL_CAUSES[local["on_arrival"].__name__]
-    assert name == "_rts_arrival", name
-    rx = local["rx_radio"]
-    busy = rx.exchange is not None or sim.now < rx.rx_engaged_until
-    return "RTS refused busy" if busy else "RTS refused by admission"
-
-
-@pytest.fixture(scope="module")
-def golden_matrix():
-    """Every golden cell run twice through execute: once as the engine
-    runs it, counting armed timeouts by cause per cell, and once under
-    EagerTimeoutSim; {cell: (rows, trace lines, sims)} for each."""
-    arms = {}
-    cell = [None]
-    arm = Sim._arm_timeout
-
-    def counted_arm(sim, radio):
-        cause = arm_cause(sim, sys._getframe(1))
-        arms.setdefault(cause, {}).setdefault(cell[0], 0)
-        arms[cause][cell[0]] += 1
-        arm(sim, radio)
-
-    def run_all(sim_class):
-        runs = {}
-        for name, text in CELLS:
-            cell[0] = name
-            sims = []
-
-            class Kept(sim_class):
-                def __init__(self, *args, **kwargs):
-                    super().__init__(*args, **kwargs)
-                    sims.append(self)
-
-            trace = TraceLines()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(experiment, "Sim", Kept)
-                rows = execute(parse_config(text), trace_file=trace)
-            runs[name] = (rows, trace.lines, sims)
-        return runs
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Sim, "_arm_timeout", counted_arm)
-        lazy = run_all(Sim)
-    eager = run_all(EagerTimeoutSim)
-    return lazy, eager, arms
-
-
-def test_timeouts_armed_only_on_failure_change_nothing_but_noop_lines(golden_matrix):
-    lazy, eager, _ = golden_matrix
+def test_timeouts_armed_only_on_failure_change_nothing_but_noop_lines(golden_pass):
     dropped = 0
-    for name, _ in CELLS:
-        rows, lines, _ = lazy[name]
-        ref_rows, ref_lines, ref_sims = eager[name]
-        noops = {i for sim in ref_sims for i in sim.noop_lines}
-        assert {ref_lines[i].split()[1] for i in noops} <= {"TimerFire"}, name
-        assert lines == [line for i, line in enumerate(ref_lines) if i not in noops], name
-        dropped += len(noops)
+    for name, text in CELLS:
+        eager = run_cell(text, EagerTimeoutSim)
         # the CSV, the route dump and every count but the events agree
-        assert [cli._result_cells(r) for r in rows] \
-            == [cli._result_cells(r) for r in ref_rows], name
-        for got, want in zip([r.result for r in rows], [r.result for r in ref_rows]):
-            assert got.route_rows == want.route_rows, name
-            assert got.counters == want.counters, name
-            assert got.corrupted_receptions == want.corrupted_receptions, name
-            assert got.link_costs == want.link_costs, name
-            assert got.flow_stats == want.flow_stats, name
+        assert eager.csv == golden_pass.csv[name], name
+        for sim, lines, got, want in zip(eager.sims, phases(eager.trace), eager.results,
+                                         golden_pass.results[name], strict=True):
+            noops = set(sim.noop_lines)
+            assert {lines[i].split()[1] for i in noops} <= {"TimerFire"}, name
+            kept = "".join(line for i, line in enumerate(lines) if i not in noops)
+            assert hashlib.sha256(kept.encode()).hexdigest() == want.trace_hash, name
+            dropped += len(noops)
+            for field in ("route_rows", "counters", "corrupted_receptions",
+                          "link_costs", "flow_stats"):
+                assert getattr(got, field) == getattr(want, field), (name, field)
     assert dropped > 0
 
 
-def test_every_timeout_arming_point_is_reached(golden_matrix):
-    _, _, arms = golden_matrix
+def test_every_timeout_arming_point_is_reached(golden_pass):
     causes = ("no peer radio", "RTS refused busy", "RTS refused by admission",
-              *ARRIVAL_CAUSES.values())
-    totals = {cause: sum(arms.get(cause, {}).values()) for cause in causes}
+              "RTS corrupted", "CTS corrupted", "DATA corrupted", "ACK corrupted")
+    cells = golden_pass.seen.values()
+    totals = {cause: sum(cell[cause] for cell in cells) for cause in causes}
     assert min(totals.values()) > 0, totals
     print("\ntimeouts armed, by cause: " + "; ".join(
-        f"{cause} {totals[cause]} in {len(arms[cause])} cells" for cause in causes))
+        f"{cause} {totals[cause]} in {sum(cause in cell for cell in cells)} cells"
+        for cause in causes))
 
 
 def test_each_sent_copy_looks_its_route_up_once(monkeypatch):
@@ -620,14 +554,11 @@ def test_finished_phases_are_freed_without_the_collector(monkeypatch):
 
 
 def test_trace_stream_is_ordered():
-    buf = io.StringIO()
-    res = Sim(chain_cfg(2, sim_time_s=2.0), RouteMetric.HOP_COUNT, "x",
-              trace_file=buf).run()
-    text = buf.getvalue()
+    run = run_cell("topology = chain(2)\nsim_time_s = 2\nprotocol = aodv_hop\n")
+    res, lines = run.results[0], run.trace
     # the written lines are exactly the hashed ones: one per dispatched
     # event, then SimEnd
-    assert hashlib.sha256(text.encode()).hexdigest() == res.trace_hash
-    lines = text.splitlines()
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == res.trace_hash
     assert len(lines) == res.dispatched_events + 1
     assert lines[-1].split()[1] == "SimEnd"
     times = [float(line.split()[0]) for line in lines]
@@ -637,35 +568,27 @@ def test_trace_stream_is_ordered():
                       "FlowSendWindow", "RtoExpiry", "SimEnd"}
 
 
-def test_trace_file_matches_in_memory_trace(tmp_path):
+def test_trace_file_matches_in_memory_trace():
     # both phases of a cell with two-digit node ids, pcl beacons and a jammer
     text = ("topology = random(12)\nchannel_plan = pcl\njammer_channel = 1\n"
             "jammer_x = 700\njammer_y = 400\nsim_time_s = 8\nseed = 2\n")
-    config_path = tmp_path / "scenario.cfg"
-    config_path.write_text(text, encoding="utf-8")
-    trace = tmp_path / "events.log"
-    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "rows.csv"),
-                     "--trace", str(trace)]) == 0
+    trace = run_cell(text).trace
     buf = io.StringIO()
     rows = execute(parse_config(text), trace_file=buf)
-    data = trace.read_bytes()
-    assert data == buf.getvalue().encode()
+    assert "".join(trace) == buf.getvalue()
     # with no trace file the sink only hashes: the same hashes, the same cells
     untraced = execute(parse_config(text))
     assert [row.result.trace_hash for row in untraced] \
         == [row.result.trace_hash for row in rows]
     assert [cli._result_cells(row) for row in untraced] \
         == [cli._result_cells(row) for row in rows]
-    hashes, phase, labels, nodes = [], hashlib.sha256(), set(), set()
-    for line in data.decode().splitlines(keepends=True):
+    labels, nodes = set(), set()
+    for line in trace:
         time_s, label, node = line.split()
         assert line == TRACE_LINE % (float(time_s), label, node[1:])
         labels.add(label)
         nodes.add(int(node[1:]))
-        phase.update(line.encode())
-        if label == "SimEnd":
-            hashes.append(phase.hexdigest())
-            phase = hashlib.sha256()
+    hashes = [hashlib.sha256("".join(phase).encode()).hexdigest() for phase in phases(trace)]
     assert hashes == [row.result.trace_hash for row in rows]
     assert len(hashes) == 2
     assert labels == {"FrameArrival", "TimerFire", "HelloTick", "BeaconTick",
@@ -879,51 +802,45 @@ class OracleMedium(Medium):
         return got
 
 
+# each a single hop-count phase, as `protocol = aodv_hop` runs it
 ORACLE_CASES = (
-    ("chain5-overlapping", chain_cfg(5, channel_plan="overlapping",
-                                     sim_time_s=6.0, seed=2)),
-    ("random20", ScenarioConfig(topology=TopologySpec("random", 20),
-                                sim_time_s=3.3, seed=1)),
+    ("chain5-overlapping", "topology = chain(5)\nchannel_plan = overlapping\n"
+     "sim_time_s = 6\nseed = 2\nprotocol = aodv_hop\n"),
+    ("random20", "topology = random(20)\nsim_time_s = 3.3\nseed = 1\nprotocol = aodv_hop\n"),
     # 40 ms frames: a medium that forgot transmissions 20 ms after they
     # ended would miss an interferer here
-    ("random15-200kbps", ScenarioConfig(topology=TopologySpec("random", 15),
-                                        data_rate_bps=200000,
-                                        sim_time_s=4.0, seed=2)),
-    ("mesh8-jammer", ScenarioConfig(topology=TopologySpec("mesh8"), sim_time_s=8.0,
-                                    seed=1, jammer_channel=1,
-                                    jammer_x=100.0, jammer_y=-80.0)),
+    ("random15-200kbps", "topology = random(15)\ndata_rate_bps = 200000\n"
+     "sim_time_s = 4\nseed = 2\nprotocol = aodv_hop\n"),
+    ("mesh8-jammer", "topology = mesh8\njammer_channel = 1\njammer_x = 100\n"
+     "jammer_y = -80\nsim_time_s = 8\nseed = 1\nprotocol = aodv_hop\n"),
     # the last radio of a node retunes on its beacon ticks, so frames of one
     # radio sit on the air under two channels in one run
-    ("chain5-pcl", chain_cfg(5, channel_plan="pcl", sim_time_s=11.0, seed=3)),
+    ("chain5-pcl", "topology = chain(5)\nchannel_plan = pcl\nsim_time_s = 11\nseed = 3\n"
+     "protocol = aodv_hop\n"),
     # data frames the size of an RTS: the prune horizon shrinks to the
     # 40-byte transport ACK's airtime, and no frame kind outlasts the others
-    ("chain5-20-byte-data", chain_cfg(5, channel_plan="overlapping",
-                                      packet_size_bytes=20, sim_time_s=4.0, seed=3)),
-    ("mesh8-jammer-always-on", ScenarioConfig(
-        topology=TopologySpec("mesh8"), sim_time_s=6.0, seed=1, jammer_channel=1,
-        jammer_x=100.0, jammer_y=-80.0, jammer_on_s=1000.0)),
+    ("chain5-20-byte-data", "topology = chain(5)\nchannel_plan = overlapping\n"
+     "packet_size_bytes = 20\nsim_time_s = 4\nseed = 3\nprotocol = aodv_hop\n"),
+    ("mesh8-jammer-always-on", "topology = mesh8\njammer_channel = 1\njammer_x = 100\n"
+     "jammer_y = -80\njammer_on_s = 1000\nsim_time_s = 6\nseed = 1\nprotocol = aodv_hop\n"),
 )
 
 
 @pytest.fixture(scope="module")
 def oracle_runs():
-    """Every ORACLE_CASES run under the brute-force medium, and the wall
-    seconds they took together."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "Medium", OracleMedium)
-        t0 = time.monotonic()
-        sims = {}
-        for name, cfg in ORACLE_CASES:
-            sims[name] = Sim(cfg, RouteMetric.HOP_COUNT, "x")
-            sims[name].run()
-        return sims, time.monotonic() - t0
+    """Every ORACLE_CASES run's Sim under the brute-force medium, and the
+    wall seconds they took together."""
+    t0 = time.monotonic()
+    sims = {name: run_cell(text, medium_class=OracleMedium).sims[0]
+            for name, text in ORACLE_CASES}
+    return sims, time.monotonic() - t0
 
 
 def test_medium_matches_brute_force_scan(oracle_runs):
     sims, _ = oracle_runs
-    for name, cfg in ORACLE_CASES:
-        seen = dict(sims[name].medium.answers)
-        assert (seen.pop("jammer") > 0) is (cfg.jammer_channel is not None), name
+    for name, sim in sims.items():
+        seen = dict(sim.medium.answers)
+        assert (seen.pop("jammer") > 0) is (sim.config.jammer_channel is not None), name
         assert min(seen.values()) > 0, (name, seen)
     assert sims["chain5-pcl"].counters["pcl_retunes"] > 0
 
@@ -1034,11 +951,8 @@ class OrderedListMedium(Medium):
 
 
 @pytest.mark.parametrize("name", ["random15-200kbps", "chain5-20-byte-data"])
-def test_in_flight_list_stays_ordered_and_pruned(name, monkeypatch):
-    monkeypatch.setattr(engine, "Medium", OrderedListMedium)
-    sim = Sim(dict(ORACLE_CASES)[name], RouteMetric.HOP_COUNT, "x")
-    sim.run()
-    medium = sim.medium
+def test_in_flight_list_stays_ordered_and_pruned(name):
+    medium = run_cell(dict(ORACLE_CASES)[name], medium_class=OrderedListMedium).sims[0].medium
     # both ways in: appended at the tail, and inserted ahead of a frame
     # that ends later; and the head was pruned along the way
     assert 0 < medium.inserted < medium.registered
